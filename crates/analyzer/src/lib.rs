@@ -32,7 +32,7 @@ pub struct Config {
     /// Repo-relative prefixes/files whose non-test code must be
     /// panic-free (L2).
     pub serving_paths: Vec<String>,
-    /// Repo-relative files checked for narrowing casts (L4).
+    /// Repo-relative prefixes/files checked for narrowing casts (L4).
     pub cast_paths: Vec<String>,
     /// Repo-relative path of the protocol spec markdown (L3).
     pub spec_path: String,
@@ -45,13 +45,13 @@ impl Default for Config {
         Config {
             serving_paths: vec![
                 "crates/net/src/".to_string(),
-                "crates/core/src/gateway.rs".to_string(),
+                "crates/core/src/gateway/".to_string(),
                 "crates/core/src/pipeline.rs".to_string(),
             ],
             cast_paths: vec![
                 "crates/net/src/frame.rs".to_string(),
                 "crates/net/src/conn.rs".to_string(),
-                "crates/core/src/gateway.rs".to_string(),
+                "crates/core/src/gateway/".to_string(),
             ],
             spec_path: "docs/PROTOCOL.md".to_string(),
             spec_code_paths: vec![
@@ -66,14 +66,12 @@ impl Default for Config {
 impl Config {
     /// True when `rel_path` is on the serving path (L2 applies).
     pub fn is_serving(&self, rel_path: &str) -> bool {
-        self.serving_paths
-            .iter()
-            .any(|p| rel_path == p || rel_path.starts_with(p.as_str()))
+        self.serving_paths.iter().any(|p| rel_path.starts_with(p))
     }
 
     /// True when `rel_path` is a codec/serialization file (L4 applies).
     pub fn is_cast_path(&self, rel_path: &str) -> bool {
-        self.cast_paths.iter().any(|p| rel_path == p)
+        self.cast_paths.iter().any(|p| rel_path.starts_with(p))
     }
 }
 
@@ -88,6 +86,29 @@ pub struct Workspace {
 }
 
 impl Workspace {
+    /// Configured paths that match nothing the scan loaded: serving and
+    /// cast prefixes no scanned file starts with, spec code files not
+    /// scanned, and the spec itself when it is missing. A lint whose path
+    /// matches nothing checks nothing, so `check` refuses to pass.
+    pub fn unmatched_paths(&self) -> Vec<String> {
+        let cfg = &self.config;
+        let scanned = |p: &str, exact: bool| {
+            self.files
+                .iter()
+                .any(|f| f.rel_path == p || (!exact && f.rel_path.starts_with(p)))
+        };
+        let prefixes = cfg.serving_paths.iter().chain(&cfg.cast_paths);
+        let mut out: Vec<String> = prefixes
+            .filter(|p| !scanned(p, false))
+            .chain(cfg.spec_code_paths.iter().filter(|p| !scanned(p, true)))
+            .cloned()
+            .collect();
+        if self.spec.is_none() {
+            out.push(cfg.spec_path.clone());
+        }
+        out
+    }
+
     /// Runs all five lints and returns findings sorted by file/line/col.
     pub fn run_lints(&self) -> Vec<Finding> {
         let mut findings = Vec::new();

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! `check` exits 0 when every finding is absorbed by the baseline, 1
-//! when there are new findings, 2 on usage or I/O errors. `bless`
+//! when there are new findings or a configured lint path matches no
+//! scanned file, 2 on usage or I/O errors. `bless`
 //! rewrites the baseline to the current finding set (the burn-down
 //! ratchet: run it after *fixing* findings, never to bury new ones).
 
@@ -48,6 +49,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let unmatched = ws.unmatched_paths();
+    if !unmatched.is_empty() {
+        for p in &unmatched {
+            println!("error: configured lint path `{p}` matches no scanned file");
+        }
+        return ExitCode::FAILURE;
+    }
     let findings = ws.run_lints();
 
     if cmd == "bless" {

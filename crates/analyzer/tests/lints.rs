@@ -170,3 +170,57 @@ fn net_crate_baseline_is_empty() {
         "crates/net findings still baselined: {net:?}"
     );
 }
+
+/// Every file of the split gateway is on the serving and cast paths, and
+/// a configured path that matches no scanned file is reported — by
+/// `unmatched_paths` and by a failing `check` — instead of silently
+/// switching its lint off.
+#[test]
+fn config_path_matching_no_file_is_reported() {
+    let mut ws = load_workspace(&repo_root()).expect("load real workspace");
+    assert_eq!(ws.unmatched_paths(), Vec::<String>::new());
+    let gateway: Vec<&str> = ws
+        .files
+        .iter()
+        .map(|f| f.rel_path.as_str())
+        .filter(|p| p.starts_with("crates/core/src/gateway/"))
+        .collect();
+    assert!(gateway.len() >= 3, "gateway files scanned: {gateway:?}");
+    for p in gateway {
+        assert!(ws.config.is_serving(p), "{p} not on the serving path");
+        assert!(ws.config.is_cast_path(p), "{p} not on the cast path");
+    }
+
+    ws.config
+        .serving_paths
+        .push("crates/core/src/gateway.rs".to_string());
+    ws.config
+        .cast_paths
+        .push("crates/net/src/gone/".to_string());
+    ws.config
+        .spec_code_paths
+        .push("crates/net/src/gone.rs".to_string());
+    assert_eq!(
+        ws.unmatched_paths(),
+        [
+            "crates/core/src/gateway.rs",
+            "crates/net/src/gone/",
+            "crates/net/src/gone.rs"
+        ]
+    );
+
+    // The fixture tree lacks most default paths (the gateway among
+    // them), so `check` against it fails before looking at findings.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mhhea-analyzer"))
+        .arg("check")
+        .arg("--root")
+        .arg(fixture_root())
+        .output()
+        .expect("run the analyzer");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("`crates/core/src/gateway/` matches no scanned file"),
+        "{stdout}"
+    );
+}

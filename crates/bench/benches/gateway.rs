@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mhhea::container::{seal_v2, SealV2Options};
-use mhhea::gateway::{StreamConfig, StreamId, StreamMux};
+use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
 use mhhea::Key;
 
 fn message_for(id: u64, size: usize) -> Vec<u8> {
@@ -34,6 +34,13 @@ fn open_streams(mux: &StreamMux, key: &Key, streams: u64) {
     }
 }
 
+/// One encrypt per stream, `streams` streams of `size`-byte messages.
+fn encrypts(streams: u64, size: usize) -> Vec<(StreamId, StreamOp)> {
+    (0..streams)
+        .map(|id| (StreamId(id), StreamOp::Encrypt(message_for(id, size))))
+        .collect()
+}
+
 /// Streams × message-size sweep; the 1024-stream rows are the acceptance
 /// configuration (≥ 1,000 concurrent streams in flight).
 fn bench_gateway_sweep(c: &mut Criterion) {
@@ -44,27 +51,26 @@ fn bench_gateway_sweep(c: &mut Criterion) {
         for streams in [64u64, 1024] {
             let mux = StreamMux::with_shards(64);
             open_streams(&mux, &key, streams);
-            let batch: Vec<(StreamId, Vec<u8>)> = (0..streams)
-                .map(|id| (StreamId(id), message_for(id, msg_size)))
-                .collect();
+            let batch = encrypts(streams, msg_size);
             group.throughput(Throughput::Bytes(streams * msg_size as u64));
             group.bench_with_input(
-                BenchmarkId::new("mux_seal_batch", streams),
+                BenchmarkId::new("mux_submit_batch", streams),
                 &batch,
-                |b, batch| b.iter(|| mux.seal_batch(batch.clone())),
+                |b, batch| b.iter(|| mux.submit_batch(batch.clone())),
             );
             // Baseline: the same messages as independent one-shot v2
             // containers, one seal_v2 call each.
+            let messages: Vec<Vec<u8>> = (0..streams).map(|id| message_for(id, msg_size)).collect();
             group.bench_with_input(
                 BenchmarkId::new("per_call_seal_v2", streams),
-                &batch,
-                |b, batch| {
+                &messages,
+                |b, messages| {
                     b.iter(|| {
-                        batch
-                            .iter()
+                        (0..streams)
+                            .zip(messages)
                             .map(|(id, msg)| {
                                 let opts = SealV2Options {
-                                    master_seed: 0x1000u16.wrapping_add(id.0 as u16) | 1,
+                                    master_seed: 0x1000u16.wrapping_add(id as u16) | 1,
                                     workers: 1,
                                     ..Default::default()
                                 };
@@ -82,7 +88,7 @@ fn bench_gateway_sweep(c: &mut Criterion) {
 /// Lanes × message-size sweep: the same seal workload run where the
 /// bitsliced lane engine engages versus where it cannot. The `lanes`
 /// rows use a single-shard mux, so every batch lands the whole
-/// same-key group in one shard queue and `seal_batch` packs it into
+/// same-key group in one shard queue and `submit_batch` packs it into
 /// u64 lanes; the `scalar` rows spread the identical streams across 64
 /// shards, leaving every per-shard group below `LANE_THRESHOLD` so the
 /// scalar `SpanTable` path does the exact same cipher work. The stream
@@ -103,20 +109,18 @@ fn bench_gateway_lanes(c: &mut Criterion) {
             let scattered = StreamMux::with_shards(64);
             open_streams(&laned, &key, streams);
             open_streams(&scattered, &key, streams);
-            let batch: Vec<(StreamId, Vec<u8>)> = (0..streams)
-                .map(|id| (StreamId(id), message_for(id, msg_size)))
-                .collect();
+            let batch = encrypts(streams, msg_size);
             group.throughput(Throughput::Bytes(streams * msg_size as u64));
             group.bench_with_input(BenchmarkId::new("lanes", streams), &batch, |b, batch| {
                 b.iter(|| {
-                    let frames = laned.seal_batch(batch.clone());
-                    assert!(frames.iter().all(Result::is_ok));
+                    let results = laned.submit_batch(batch.clone());
+                    assert!(results.iter().all(Result::is_ok));
                 })
             });
             group.bench_with_input(BenchmarkId::new("scalar", streams), &batch, |b, batch| {
                 b.iter(|| {
-                    let frames = scattered.seal_batch(batch.clone());
-                    assert!(frames.iter().all(Result::is_ok));
+                    let results = scattered.submit_batch(batch.clone());
+                    assert!(results.iter().all(Result::is_ok));
                 })
             });
         }
@@ -124,8 +128,9 @@ fn bench_gateway_lanes(c: &mut Criterion) {
     }
 }
 
-/// Full duplex at acceptance scale: 1,024 streams sealed on one mux and
-/// opened on its peer, measuring the round trip.
+/// Full duplex at acceptance scale: 1,024 streams encrypted on one mux
+/// and decrypted on its peer, one `submit_batch` each, measuring the
+/// round trip.
 fn bench_gateway_duplex(c: &mut Criterion) {
     let key = mhhea_bench::report_key();
     const STREAMS: u64 = 1024;
@@ -134,20 +139,26 @@ fn bench_gateway_duplex(c: &mut Criterion) {
     let rx = StreamMux::with_shards(64);
     open_streams(&tx, &key, STREAMS);
     open_streams(&rx, &key, STREAMS);
-    let batch: Vec<(StreamId, Vec<u8>)> = (0..STREAMS)
-        .map(|id| (StreamId(id), message_for(id, MSG)))
-        .collect();
+    let batch = encrypts(STREAMS, MSG);
     let mut group = c.benchmark_group("gateway_duplex_1024x256B");
     group.sample_size(10);
     group.throughput(Throughput::Bytes(STREAMS * MSG as u64));
-    group.bench_function("seal_then_open_batch", |b| {
+    group.bench_function("encrypt_then_decrypt_batch", |b| {
         b.iter(|| {
-            let frames: Vec<Vec<u8>> = tx
-                .seal_batch(batch.clone())
-                .into_iter()
-                .map(Result::unwrap)
+            let decrypts = (0..STREAMS)
+                .zip(tx.submit_batch(batch.clone()))
+                .map(|(id, out)| match out {
+                    Ok(StreamOutput::Blocks(blocks)) => (
+                        StreamId(id),
+                        StreamOp::Decrypt {
+                            blocks,
+                            bit_len: MSG * 8,
+                        },
+                    ),
+                    other => panic!("encrypt failed: {other:?}"),
+                })
                 .collect();
-            let opened = rx.open_batch(frames);
+            let opened = rx.submit_batch(decrypts);
             assert!(opened.iter().all(Result::is_ok));
         })
     });
@@ -161,7 +172,6 @@ fn bench_gateway_duplex(c: &mut Criterion) {
 /// rotate-every-tick policy costs: span-table rebuild + LFSR reseed per
 /// stream.
 fn bench_gateway_rekey_churn(c: &mut Criterion) {
-    use mhhea::gateway::{StreamOp, StreamOutput};
     use mhhea::KeyRing;
     let key = mhhea_bench::report_key();
     const STREAMS: u64 = 1024;
@@ -172,9 +182,7 @@ fn bench_gateway_rekey_churn(c: &mut Criterion) {
         mux.open(StreamId(id), StreamConfig::new(key.clone()).with_ring(ring))
             .unwrap();
     }
-    let traffic: Vec<(StreamId, StreamOp)> = (0..STREAMS)
-        .map(|id| (StreamId(id), StreamOp::Encrypt(message_for(id, MSG))))
-        .collect();
+    let traffic = encrypts(STREAMS, MSG);
     let mut group = c.benchmark_group("gateway_rekey_churn_1024x256B");
     group.sample_size(10);
     group.throughput(Throughput::Bytes(STREAMS * MSG as u64));

@@ -1,18 +1,18 @@
 //! Criterion: the MHNP TCP transport — loopback throughput across a
 //! connections × message-size sweep, against the raw in-process
-//! `seal_batch` baseline.
+//! `submit_batch` baseline.
 //!
 //! The baseline is the same workload submitted straight to a
 //! [`StreamMux`] (no sockets, no frames, no readiness loop); the TCP rows
 //! run it through real loopback connections with pipelined clients. The
 //! gap between the two is the transport overhead the acceptance
 //! criterion bounds: batched server throughput at 1 KiB messages must
-//! stay within 2× of raw `seal_batch` (≥ 0.5× its throughput).
+//! stay within 2× of raw `submit_batch` (≥ 0.5× its throughput).
 
 use std::sync::OnceLock;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mhhea::gateway::{StreamConfig, StreamId, StreamMux};
+use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp};
 use mhhea_net::client::NetClient;
 use mhhea_net::frame::Hello;
 use mhhea_net::server::{NetServer, ServerConfig, ServerHandle};
@@ -91,7 +91,8 @@ fn bench_net_sweep(c: &mut Criterion) {
 }
 
 /// The no-transport baseline: the identical workload (streams × messages)
-/// submitted directly to a `StreamMux`, one `seal_batch` per iteration.
+/// submitted directly to a `StreamMux`, one `submit_batch` of encrypts per
+/// iteration.
 fn bench_raw_baseline(c: &mut Criterion) {
     let key = mhhea_bench::report_key();
     for msg_size in [64usize, 1024] {
@@ -106,21 +107,23 @@ fn bench_raw_baseline(c: &mut Criterion) {
                 )
                 .unwrap();
             }
-            let batch: Vec<(StreamId, Vec<u8>)> = (0..conns as u64)
+            let batch: Vec<(StreamId, StreamOp)> = (0..conns as u64)
                 .flat_map(|stream| {
-                    (0..MSGS_PER_CONN)
-                        .map(move |i| (StreamId(stream), message_for(stream, i, msg_size)))
+                    (0..MSGS_PER_CONN).map(move |i| {
+                        let msg = message_for(stream, i, msg_size);
+                        (StreamId(stream), StreamOp::Encrypt(msg))
+                    })
                 })
                 .collect();
             let total = (conns * MSGS_PER_CONN * msg_size) as u64;
             group.throughput(Throughput::Bytes(total));
             group.bench_with_input(
-                BenchmarkId::new("mux_seal_batch", conns),
+                BenchmarkId::new("mux_submit_batch", conns),
                 &batch,
                 |b, batch| {
                     b.iter(|| {
-                        let frames = mux.seal_batch(batch.clone());
-                        assert!(frames.iter().all(Result::is_ok));
+                        let results = mux.submit_batch(batch.clone());
+                        assert!(results.iter().all(Result::is_ok));
                     })
                 },
             );

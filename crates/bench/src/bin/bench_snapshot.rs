@@ -18,7 +18,7 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use mhhea::container::{open_v2_with, seal_v2, SealV2Options};
-use mhhea::gateway::{StreamConfig, StreamId, StreamMux};
+use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp};
 use mhhea_net::client::NetClient;
 use mhhea_net::dgram::{DgramClient, DgramClientConfig};
 use mhhea_net::frame::Hello;
@@ -104,8 +104,8 @@ fn bench_container_pipeline(points: &mut Vec<Point>) {
     });
 }
 
-/// Gateway batch: 256 streams × one 256 B message per stream, one
-/// `seal_batch` per iteration (the server tick's inner workload).
+/// Gateway batch: 256 streams × one 256 B encrypt per stream, one
+/// `submit_batch` per iteration (the server tick's inner workload).
 fn bench_gateway_batch(points: &mut Vec<Point>) {
     const STREAMS: u64 = 256;
     const MSG_SIZE: usize = 256;
@@ -118,15 +118,18 @@ fn bench_gateway_batch(points: &mut Vec<Point>) {
         )
         .expect("open stream");
     }
-    let batch: Vec<(StreamId, Vec<u8>)> = (0..STREAMS)
-        .map(|stream| (StreamId(stream), message_for(stream, 0, MSG_SIZE)))
+    let batch: Vec<(StreamId, StreamOp)> = (0..STREAMS)
+        .map(|stream| {
+            let msg = message_for(stream, 0, MSG_SIZE);
+            (StreamId(stream), StreamOp::Encrypt(msg))
+        })
         .collect();
     points.push(Point {
-        bench: "gateway_seal_batch_256x256B",
+        bench: "gateway_submit_batch_256x256B",
         bytes_per_iter: STREAMS * MSG_SIZE as u64,
         ns_median: time_median(|| {
-            let frames = mux.seal_batch(batch.clone());
-            assert!(frames.iter().all(Result::is_ok));
+            let results = mux.submit_batch(batch.clone());
+            assert!(results.iter().all(Result::is_ok));
         }),
     });
 }

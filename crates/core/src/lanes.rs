@@ -17,7 +17,7 @@
 //! * the **scalar word-level** path ([`crate::block::SpanTable`]) used
 //!   by the sessions;
 //! * the **lane** path here, used by the batch APIs
-//!   ([`crate::gateway::StreamMux::seal_batch`],
+//!   ([`crate::gateway::StreamMux::submit_batch`],
 //!   [`crate::container::seal_v2`]) when enough compatible jobs are
 //!   queued ([`LANE_THRESHOLD`]).
 //!

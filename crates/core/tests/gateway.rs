@@ -1,8 +1,8 @@
 //! Integration tests for the multi-stream gateway: batched traffic across
-//! many streams, wire frames, and the evict/restore snapshot cycle.
+//! many streams, error confinement, and the evict/restore snapshot cycle.
 
-use mhhea::gateway::{GatewayError, StreamConfig, StreamId, StreamMux};
-use mhhea::{Algorithm, Key, Profile};
+use mhhea::gateway::{GatewayError, StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
+use mhhea::{Algorithm, Key, KeyRing, MhheaError, Profile};
 use proptest::prelude::*;
 
 fn key() -> Key {
@@ -20,6 +20,34 @@ fn duplex_pair(ids: impl Iterator<Item = u64>, profile: Profile) -> (StreamMux, 
         rx.open(StreamId(id), cfg).unwrap();
     }
     (tx, rx)
+}
+
+/// Encrypts `batch` on `tx` in one `submit_batch`, returning each
+/// message's cipher blocks.
+fn seal_all(tx: &StreamMux, batch: &[(StreamId, Vec<u8>)]) -> Vec<Vec<u16>> {
+    let ops = batch
+        .iter()
+        .map(|(id, msg)| (*id, StreamOp::Encrypt(msg.clone())))
+        .collect();
+    tx.submit_batch(ops)
+        .into_iter()
+        .map(|out| match out {
+            Ok(StreamOutput::Blocks(blocks)) => blocks,
+            other => panic!("encrypt failed: {other:?}"),
+        })
+        .collect()
+}
+
+/// The decrypt ops that open `sealed` (one per message of `batch`).
+fn open_ops(batch: &[(StreamId, Vec<u8>)], sealed: Vec<Vec<u16>>) -> Vec<(StreamId, StreamOp)> {
+    batch
+        .iter()
+        .zip(sealed)
+        .map(|((id, msg), blocks)| {
+            let bit_len = msg.len() * 8;
+            (*id, StreamOp::Decrypt { blocks, bit_len })
+        })
+        .collect()
 }
 
 /// A batch mixing several messages per stream must round-trip with
@@ -47,16 +75,14 @@ fn batched_traffic_roundtrips_all_modes() {
                     ));
                 }
             }
-            let expected: Vec<Vec<u8>> = batch.iter().map(|(_, m)| m.clone()).collect();
-            let sealed = tx.encrypt_batch(batch.clone());
-            let dec_batch: Vec<(StreamId, (Vec<u16>, usize))> = sealed
-                .iter()
-                .zip(&batch)
-                .map(|(blocks, (id, msg))| (*id, (blocks.as_ref().unwrap().clone(), msg.len() * 8)))
-                .collect();
-            let opened = rx.decrypt_batch(dec_batch);
-            for (got, want) in opened.into_iter().zip(expected) {
-                assert_eq!(got.unwrap(), want, "alg={algorithm} profile={profile}");
+            let sealed = seal_all(&tx, &batch);
+            let opened = rx.submit_batch(open_ops(&batch, sealed));
+            for (got, (_, want)) in opened.into_iter().zip(batch) {
+                assert_eq!(
+                    got,
+                    Ok(StreamOutput::Plain(want)),
+                    "alg={algorithm} profile={profile}"
+                );
             }
         }
     }
@@ -77,161 +103,130 @@ fn batch_equals_sequential_singles() {
             ));
         }
     }
-    let batched = tx_batch.encrypt_batch(batch.clone());
+    let batched = seal_all(&tx_batch, &batch);
     for ((id, msg), got) in batch.into_iter().zip(batched) {
         let single = tx_single.encrypt(id, &msg).unwrap();
-        assert_eq!(got.unwrap(), single, "stream {id}");
+        assert_eq!(got, single, "stream {id}");
     }
 }
 
-/// Gateway frames carry everything the receiver needs: id, bit length,
-/// blocks. Unknown ids and corrupt frames error without disturbing the
-/// healthy streams in the same batch.
+/// A decrypt batch with a truncated message and one retargeted to an
+/// unknown stream id: those two slots fail, and every healthy stream in
+/// the same batch still opens its message.
 #[test]
 fn seal_open_batch_with_errors_interleaved() {
     let (tx, rx) = duplex_pair(0..5, Profile::Streaming);
     let batch: Vec<(StreamId, Vec<u8>)> = (0..5u64)
         .map(|id| (StreamId(id), format!("payload {id}").into_bytes()))
         .collect();
-    let mut frames: Vec<Vec<u8>> = tx
-        .seal_batch(batch)
-        .into_iter()
-        .map(Result::unwrap)
-        .collect();
-    // Frame 1 gets corrupted magic; frame 3 is retargeted to an unknown
-    // stream id (id bytes live at offset 8).
-    frames[1][0] = b'X';
-    frames[3][8..16].copy_from_slice(&999u64.to_le_bytes());
-    let opened = rx.open_batch(frames);
+    let mut ops = open_ops(&batch, seal_all(&tx, &batch));
+    if let (_, StreamOp::Decrypt { blocks, .. }) = &mut ops[1] {
+        blocks.truncate(1);
+    }
+    ops[3].0 = StreamId(999);
+    let opened = rx.submit_batch(ops);
     assert_eq!(opened.len(), 5);
     for (i, result) in opened.iter().enumerate() {
         match i {
             1 => assert!(
-                matches!(result, Err(GatewayError::Frame(_))),
-                "frame 1: {result:?}"
+                matches!(
+                    result,
+                    Err(GatewayError::Engine(MhheaError::CiphertextTruncated { .. }))
+                ),
+                "slot 1: {result:?}"
             ),
             3 => assert_eq!(
                 result,
                 &Err(GatewayError::UnknownStream(StreamId(999))),
-                "frame 3"
+                "slot 3"
             ),
-            _ => {
-                let (id, plain) = result.as_ref().unwrap();
-                assert_eq!(plain, &format!("payload {}", id.0).into_bytes());
-            }
+            _ => assert_eq!(result, &Ok(StreamOutput::Plain(batch[i].1.clone()))),
         }
     }
 }
 
-/// A poisoned slot inside `seal_batch` — an oversized message that is
-/// rejected before encryption — must fail only its own stream: shard-mates
-/// in the same batch stay bit-exact with a control mux that never saw the
-/// poison, and the poisoned stream itself is left untouched and usable.
+/// Poisoned slots inside one `submit_batch` — a truncated decrypt, a
+/// stale rekey, an unknown stream — fail only themselves. One shard puts
+/// every stream under the same lock, in the same sequential pool job, and
+/// (with 18 compatible first-op encrypts) through the lane prepass too.
+/// After the batch every stream, the poisoned ones included, evicts to
+/// the same snapshot bytes as on a control mux that never saw the poison.
 #[test]
-fn seal_batch_poison_leaves_shardmates_bit_exact() {
-    use mhhea::gateway::MAX_FRAME_MESSAGE_BYTES;
-    // One shard forces every stream into the same lock and the same
-    // sequential pool job as the poisoned one.
+fn submit_batch_poison_leaves_shardmates_bit_exact() {
+    const STREAMS: u64 = 20;
     let victim = StreamMux::with_shards(1);
     let control = StreamMux::with_shards(1);
-    for id in 0..6u64 {
-        let cfg = StreamConfig::new(key()).with_seed(0x3000 + id as u16);
+    let feeder = StreamMux::with_shards(1);
+    for id in 0..STREAMS {
+        let ring = KeyRing::single(key(), 0x3000 + id as u16).unwrap();
+        let cfg = StreamConfig::new(key()).with_ring(ring);
         victim.open(StreamId(id), cfg.clone()).unwrap();
-        control.open(StreamId(id), cfg).unwrap();
+        control.open(StreamId(id), cfg.clone()).unwrap();
+        feeder.open(StreamId(id), cfg).unwrap();
+    }
+    let msg = |id: u64| format!("healthy message {id}").into_bytes();
+    // Every healthy stream encrypts, then decrypts its feeder's message.
+    let mut clean: Vec<(StreamId, StreamOp)> = Vec::new();
+    for id in (0..STREAMS).filter(|id| ![2, 3].contains(id)) {
+        clean.push((StreamId(id), StreamOp::Encrypt(msg(id))));
+    }
+    for id in (0..STREAMS).filter(|id| ![2, 3].contains(id)) {
+        let blocks = feeder.encrypt(StreamId(id), &msg(id)).unwrap();
+        let bit_len = msg(id).len() * 8;
+        clean.push((StreamId(id), StreamOp::Decrypt { blocks, bit_len }));
+    }
+    let full = feeder.encrypt(StreamId(2), &msg(2)).unwrap();
+    let poison = [
+        (
+            StreamId(2),
+            StreamOp::Decrypt {
+                blocks: full[..1].to_vec(),
+                bit_len: msg(2).len() * 8,
+            },
+        ),
+        (StreamId(3), StreamOp::Rekey { epoch: 0 }),
+        (StreamId(99), StreamOp::Encrypt(msg(99))),
+    ];
+    let mut poisoned = clean.clone();
+    for (at, op) in [0, 9, 30].into_iter().zip(poison) {
+        poisoned.insert(at, op);
     }
 
-    let clean: Vec<(StreamId, Vec<u8>)> = (0..6u64)
-        .filter(|id| *id != 3)
-        .map(|id| (StreamId(id), format!("healthy message {id}").into_bytes()))
-        .collect();
-    let mut poisoned = clean.clone();
-    // The rejection fires on the declared length; the buffer is never read.
-    poisoned.insert(3, (StreamId(3), vec![0u8; MAX_FRAME_MESSAGE_BYTES + 1]));
-
-    let control_frames = control.seal_batch(clean.clone());
-    let victim_frames = victim.seal_batch(poisoned);
+    let want = control.submit_batch(clean);
+    let got = victim.submit_batch(poisoned);
 
     assert!(matches!(
-        victim_frames[3],
-        Err(GatewayError::MessageTooLarge { .. })
+        got[0],
+        Err(GatewayError::Engine(MhheaError::CiphertextTruncated { .. }))
     ));
-    // Every healthy stream's wire frame is byte-identical to the control's.
-    let healthy = victim_frames
+    assert_eq!(
+        got[9],
+        Err(GatewayError::StaleEpoch {
+            current: 0,
+            requested: 0
+        })
+    );
+    assert_eq!(got[30], Err(GatewayError::UnknownStream(StreamId(99))));
+    let healthy: Vec<_> = got
         .into_iter()
         .enumerate()
-        .filter(|(i, _)| *i != 3)
-        .map(|(_, f)| f.unwrap());
-    for (got, want) in healthy.zip(control_frames.into_iter().map(Result::unwrap)) {
-        assert_eq!(got, want, "shard-mate diverged from control");
-    }
-    // The poisoned stream never advanced: it still encrypts from block 0.
-    assert_eq!(victim.cursor(StreamId(3)).unwrap().block_index, 0);
-    let after = victim.encrypt(StreamId(3), b"recovered").unwrap();
-    assert_eq!(after, control.encrypt(StreamId(3), b"recovered").unwrap());
-}
-
-/// The decrypt-side counterpart: a stream fed truncated ciphertext inside
-/// `decrypt_batch` fails alone — shard-mates' plaintexts are bit-exact and
-/// the poisoned stream's cursor is untouched (the full blocks still open).
-#[test]
-fn decrypt_batch_poison_leaves_shardmates_bit_exact() {
-    let (tx, rx) = duplex_pair(0..5, Profile::Streaming);
-    let (_, rx_control) = duplex_pair(0..5, Profile::Streaming);
-
-    let msgs: Vec<Vec<u8>> = (0..5u64)
-        .map(|id| format!("batch message for stream {id}").into_bytes())
+        .filter(|(i, _)| ![0, 9, 30].contains(i))
+        .map(|(_, r)| r)
         .collect();
-    let sealed: Vec<Vec<u16>> = tx
-        .encrypt_batch(
-            (0..5u64)
-                .map(|id| (StreamId(id), msgs[id as usize].clone()))
-                .collect(),
-        )
-        .into_iter()
-        .map(Result::unwrap)
-        .collect();
-
-    let make_batch = |truncate: bool| -> Vec<(StreamId, (Vec<u16>, usize))> {
-        (0..5u64)
-            .map(|id| {
-                let mut blocks = sealed[id as usize].clone();
-                if truncate && id == 2 {
-                    blocks.truncate(1);
-                }
-                (StreamId(id), (blocks, msgs[id as usize].len() * 8))
-            })
-            .collect()
-    };
-
-    let control_out = rx_control.decrypt_batch(make_batch(false));
-    let victim_out = rx.decrypt_batch(make_batch(true));
-
-    assert!(matches!(
-        victim_out[2],
-        Err(GatewayError::Engine(
-            mhhea::MhheaError::CiphertextTruncated { .. }
-        ))
-    ));
-    for (i, (got, want)) in victim_out.iter().zip(&control_out).enumerate() {
-        if i != 2 {
-            assert_eq!(got, want, "stream {i} diverged");
-            assert_eq!(got.as_ref().unwrap(), &msgs[i]);
-        }
+    assert_eq!(healthy, want, "a shard-mate diverged from the control");
+    for id in 0..STREAMS {
+        assert_eq!(
+            victim.evict(StreamId(id)).unwrap(),
+            control.evict(StreamId(id)).unwrap(),
+            "stream {id} state diverged from the control"
+        );
     }
-    // The failed decrypt rolled back: the untruncated blocks still open
-    // on the same mux, bit-exactly.
-    assert_eq!(
-        rx.decrypt(StreamId(2), &sealed[2], msgs[2].len() * 8)
-            .unwrap(),
-        msgs[2]
-    );
 }
 
 /// Unknown stream ids inside a mixed `submit_batch` fail their own slots
 /// only, in both directions.
 #[test]
 fn submit_batch_unknown_streams_fail_alone() {
-    use mhhea::gateway::{StreamOp, StreamOutput};
     let (tx, _) = duplex_pair(0..2, Profile::Streaming);
     let results = tx.submit_batch(vec![
         (StreamId(0), StreamOp::Encrypt(b"fine".to_vec())),
@@ -251,9 +246,6 @@ fn submit_batch_unknown_streams_fail_alone() {
     assert!(matches!(results[3], Ok(StreamOutput::Blocks(_))));
 }
 
-/// The acceptance bar: the gateway sustains well over 1,000 concurrent
-/// streams, and every one of them round-trips through a batched
-/// seal/open cycle.
 /// `rekey_with` installs externally derived material (the MHKX path):
 /// the rotated stream matches a fresh session built from the same key
 /// and seed, the stale-epoch guard holds, a zero seed is refused without
@@ -325,6 +317,9 @@ fn rekey_with_installs_derived_material() {
     assert_eq!(mux.rekey(StreamId(1), 2).unwrap(), 2);
 }
 
+/// The acceptance bar: the gateway sustains well over 1,000 concurrent
+/// streams, and every one of them round-trips through a batched
+/// encrypt/decrypt cycle.
 #[test]
 fn thousand_streams_concurrent_roundtrip() {
     const STREAMS: u64 = 1200;
@@ -333,15 +328,11 @@ fn thousand_streams_concurrent_roundtrip() {
     let batch: Vec<(StreamId, Vec<u8>)> = (0..STREAMS)
         .map(|id| (StreamId(id), format!("stream {id} says hello").into_bytes()))
         .collect();
-    let frames = tx.seal_batch(batch);
-    let opened = rx.open_batch(frames.into_iter().map(Result::unwrap).collect());
-    let mut seen = 0u64;
-    for result in opened {
-        let (id, plain) = result.unwrap();
-        assert_eq!(plain, format!("stream {} says hello", id.0).into_bytes());
-        seen += 1;
+    let opened = rx.submit_batch(open_ops(&batch, seal_all(&tx, &batch)));
+    assert_eq!(opened.len(), STREAMS as usize);
+    for (result, (_, msg)) in opened.into_iter().zip(batch) {
+        assert_eq!(result, Ok(StreamOutput::Plain(msg)));
     }
-    assert_eq!(seen, STREAMS);
 }
 
 /// A mux shared across OS threads (clone-and-go) stays consistent:
@@ -477,7 +468,7 @@ proptest! {
         seed in 1u16..,
     ) {
         use mhhea::session::{DecryptSession, EncryptSession};
-        use mhhea::{KeyRing, LfsrSource};
+        use mhhea::LfsrSource;
 
         let profile = if hw { Profile::HardwareFaithful } else { Profile::Streaming };
         let ring = KeyRing::new(

@@ -399,7 +399,6 @@ impl DgramDriver {
         let code = match &e {
             GatewayError::UnknownStream(_) => ErrorCode::UnknownStream,
             GatewayError::StaleEpoch { .. } => ErrorCode::StaleEpoch,
-            GatewayError::MessageTooLarge { .. } => ErrorCode::MessageTooLarge,
             _ => ErrorCode::Engine,
         };
         (code, e.to_string())

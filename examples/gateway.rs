@@ -1,10 +1,10 @@
 //! The multi-stream gateway end to end: a fleet of concurrent streams,
-//! batched sealing into wire frames, and a mid-conversation evict/restore
-//! cycle that resumes a stream bit-exactly.
+//! one batched traffic tick in each direction, and a mid-conversation
+//! evict/restore cycle that resumes a stream bit-exactly.
 //!
 //! Run with `cargo run --release --example gateway`.
 
-use mhhea::gateway::{StreamConfig, StreamId, StreamMux};
+use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
 use mhhea::{Key, Profile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,26 +30,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A traffic tick: every stream sends one message; the whole batch is
     // one submission to the shared worker pool.
-    let batch: Vec<(StreamId, Vec<u8>)> = (0..STREAMS)
-        .map(|id| {
-            (
-                StreamId(id),
-                format!("tick 0 payload for stream {id}").into_bytes(),
-            )
-        })
+    let message = |id: u64| format!("tick 0 payload for stream {id}").into_bytes();
+    let batch = (0..STREAMS)
+        .map(|id| (StreamId(id), StreamOp::Encrypt(message(id))))
         .collect();
     let start = std::time::Instant::now();
-    let frames: Vec<Vec<u8>> = tx.seal_batch(batch).into_iter().collect::<Result<_, _>>()?;
+    let sealed = tx.submit_batch(batch);
     let sealed_in = start.elapsed();
-    let wire_bytes: usize = frames.iter().map(Vec::len).sum();
 
+    // The peer's tick decrypts every stream's message on its own copy.
+    let mut cipher_bytes = 0;
+    let mut decrypts = Vec::with_capacity(sealed.len());
+    for (id, out) in (0..STREAMS).zip(sealed) {
+        let StreamOutput::Blocks(blocks) = out? else {
+            return Err("an encrypt produced no cipher blocks".into());
+        };
+        cipher_bytes += blocks.len() * 2;
+        let bit_len = message(id).len() * 8;
+        decrypts.push((StreamId(id), StreamOp::Decrypt { blocks, bit_len }));
+    }
     let start = std::time::Instant::now();
-    let opened = rx.open_batch(frames);
+    let opened = rx.submit_batch(decrypts);
     let opened_in = start.elapsed();
-    let ok = opened.iter().filter(|r| r.is_ok()).count();
+    let ok = (0..STREAMS)
+        .zip(&opened)
+        .filter(|(id, r)| **r == Ok(StreamOutput::Plain(message(*id))))
+        .count();
     println!(
-        "tick: sealed {STREAMS} frames ({wire_bytes} wire bytes) in {sealed_in:?}, \
-         opened {ok}/{STREAMS} in {opened_in:?}"
+        "tick: encrypted {STREAMS} messages ({cipher_bytes} cipher bytes) in {sealed_in:?}, \
+         decrypted {ok}/{STREAMS} in {opened_in:?}"
     );
 
     // Evict an idle stream: its whole resume state (key, cursors, LFSR
