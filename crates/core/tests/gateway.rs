@@ -145,82 +145,144 @@ fn seal_open_batch_with_errors_interleaved() {
     }
 }
 
-/// Poisoned slots inside one `submit_batch` — a truncated decrypt, a
-/// stale rekey, an unknown stream — fail only themselves. One shard puts
-/// every stream under the same lock, in the same sequential pool job, and
-/// (with 18 compatible first-op encrypts) through the lane prepass too.
-/// After the batch every stream, the poisoned ones included, evicts to
-/// the same snapshot bytes as on a control mux that never saw the poison.
-#[test]
-fn submit_batch_poison_leaves_shardmates_bit_exact() {
-    const STREAMS: u64 = 20;
+type Slot = Result<StreamOutput, GatewayError>;
+
+const POISON_STREAMS: u64 = 20;
+
+/// Opens `POISON_STREAMS` identically configured ring streams on three
+/// one-shard muxes: the victim that sees the poisoned batch, a control
+/// that sees the same batch without the poison, and a feeder that seals
+/// traffic for the decrypt side. One shard puts every stream under the
+/// same lock, and in the same sequential pool job, as the poisoned slots.
+fn poison_muxes() -> (StreamMux, StreamMux, StreamMux) {
     let victim = StreamMux::with_shards(1);
     let control = StreamMux::with_shards(1);
     let feeder = StreamMux::with_shards(1);
-    for id in 0..STREAMS {
+    for id in 0..POISON_STREAMS {
         let ring = KeyRing::single(key(), 0x3000 + id as u16).unwrap();
         let cfg = StreamConfig::new(key()).with_ring(ring);
         victim.open(StreamId(id), cfg.clone()).unwrap();
         control.open(StreamId(id), cfg.clone()).unwrap();
         feeder.open(StreamId(id), cfg).unwrap();
     }
-    let msg = |id: u64| format!("healthy message {id}").into_bytes();
-    // Every healthy stream encrypts, then decrypts its feeder's message.
-    let mut clean: Vec<(StreamId, StreamOp)> = Vec::new();
-    for id in (0..STREAMS).filter(|id| ![2, 3].contains(id)) {
-        clean.push((StreamId(id), StreamOp::Encrypt(msg(id))));
-    }
-    for id in (0..STREAMS).filter(|id| ![2, 3].contains(id)) {
-        let blocks = feeder.encrypt(StreamId(id), &msg(id)).unwrap();
-        let bit_len = msg(id).len() * 8;
-        clean.push((StreamId(id), StreamOp::Decrypt { blocks, bit_len }));
-    }
-    let full = feeder.encrypt(StreamId(2), &msg(2)).unwrap();
-    let poison = [
-        (
-            StreamId(2),
-            StreamOp::Decrypt {
-                blocks: full[..1].to_vec(),
-                bit_len: msg(2).len() * 8,
-            },
-        ),
-        (StreamId(3), StreamOp::Rekey { epoch: 0 }),
-        (StreamId(99), StreamOp::Encrypt(msg(99))),
-    ];
+    (victim, control, feeder)
+}
+
+fn healthy_message(id: u64) -> Vec<u8> {
+    format!("healthy message {id}").into_bytes()
+}
+
+/// Runs `clean` on `control`, and `clean` with each `(position, op)` of
+/// `poison` (positions ascending) spliced in on `victim`. Asserts the
+/// healthy slots match the control's results; returns them, then the
+/// poisoned slots' results.
+fn run_poisoned(
+    victim: &StreamMux,
+    control: &StreamMux,
+    clean: Vec<(StreamId, StreamOp)>,
+    poison: Vec<(usize, (StreamId, StreamOp))>,
+) -> (Vec<Slot>, Vec<Slot>) {
+    let positions: Vec<usize> = poison.iter().map(|(at, _)| *at).collect();
     let mut poisoned = clean.clone();
-    for (at, op) in [0, 9, 30].into_iter().zip(poison) {
+    for (at, op) in poison {
         poisoned.insert(at, op);
     }
-
     let want = control.submit_batch(clean);
-    let got = victim.submit_batch(poisoned);
-
-    assert!(matches!(
-        got[0],
-        Err(GatewayError::Engine(MhheaError::CiphertextTruncated { .. }))
-    ));
-    assert_eq!(
-        got[9],
-        Err(GatewayError::StaleEpoch {
-            current: 0,
-            requested: 0
-        })
-    );
-    assert_eq!(got[30], Err(GatewayError::UnknownStream(StreamId(99))));
-    let healthy: Vec<_> = got
+    let (bad, healthy): (Vec<_>, Vec<_>) = victim
+        .submit_batch(poisoned)
         .into_iter()
         .enumerate()
-        .filter(|(i, _)| ![0, 9, 30].contains(i))
-        .map(|(_, r)| r)
-        .collect();
+        .partition(|(i, _)| positions.contains(i));
+    let healthy: Vec<Slot> = healthy.into_iter().map(|(_, r)| r).collect();
     assert_eq!(healthy, want, "a shard-mate diverged from the control");
-    for id in 0..STREAMS {
+    (healthy, bad.into_iter().map(|(_, r)| r).collect())
+}
+
+/// Every stream, the poisoned ones included, evicts to the same snapshot
+/// bytes on `victim` as on `control`.
+fn assert_same_states(victim: &StreamMux, control: &StreamMux) {
+    for id in 0..POISON_STREAMS {
         assert_eq!(
             victim.evict(StreamId(id)).unwrap(),
             control.evict(StreamId(id)).unwrap(),
             "stream {id} state diverged from the control"
         );
     }
+}
+
+/// Poisoned slots among `submit_batch` encrypts — a stale rekey and an
+/// encrypt on an unknown stream — fail only themselves: the 19 healthy
+/// encrypts (enough compatible first ops to go through the lane prepass)
+/// stay bit-exact with a control mux that never saw the poison, and the
+/// poisoned stream is left untouched and usable.
+#[test]
+fn seal_batch_poison_leaves_shardmates_bit_exact() {
+    let (victim, control, _) = poison_muxes();
+    let clean = (0..POISON_STREAMS)
+        .filter(|id| *id != 3)
+        .map(|id| (StreamId(id), StreamOp::Encrypt(healthy_message(id))))
+        .collect();
+    let poison = vec![
+        (3, (StreamId(3), StreamOp::Rekey { epoch: 0 })),
+        (10, (StreamId(99), StreamOp::Encrypt(healthy_message(99)))),
+    ];
+    let (_, bad) = run_poisoned(&victim, &control, clean, poison);
+    assert_eq!(
+        bad,
+        vec![
+            Err(GatewayError::StaleEpoch {
+                current: 0,
+                requested: 0
+            }),
+            Err(GatewayError::UnknownStream(StreamId(99))),
+        ]
+    );
+    // The poisoned stream never advanced: it still encrypts from block 0.
+    assert_eq!(victim.cursor(StreamId(3)).unwrap().block_index, 0);
+    let after = victim.encrypt(StreamId(3), b"recovered").unwrap();
+    assert_eq!(after, control.encrypt(StreamId(3), b"recovered").unwrap());
+    assert_same_states(&victim, &control);
+}
+
+/// The decrypt-side counterpart: a stream fed truncated ciphertext among
+/// `submit_batch` decrypts fails alone — shard-mates' plaintexts are
+/// bit-exact with the control's, and the failed decrypt rolled back (the
+/// full blocks still open on the same stream).
+#[test]
+fn decrypt_batch_poison_leaves_shardmates_bit_exact() {
+    let (victim, control, feeder) = poison_muxes();
+    let sealed: Vec<Vec<u16>> = (0..POISON_STREAMS)
+        .map(|id| feeder.encrypt(StreamId(id), &healthy_message(id)).unwrap())
+        .collect();
+    let bit_len = |id: u64| healthy_message(id).len() * 8;
+    let decrypt = |id: u64, blocks: &[u16]| {
+        let blocks = blocks.to_vec();
+        let bit_len = bit_len(id);
+        (StreamId(id), StreamOp::Decrypt { blocks, bit_len })
+    };
+    let clean = (0..POISON_STREAMS)
+        .filter(|id| *id != 2)
+        .map(|id| decrypt(id, &sealed[id as usize]))
+        .collect();
+    let poison = vec![(2, decrypt(2, &sealed[2][..1]))];
+    let (healthy, bad) = run_poisoned(&victim, &control, clean, poison);
+    assert!(matches!(
+        bad[..],
+        [Err(GatewayError::Engine(
+            MhheaError::CiphertextTruncated { .. }
+        ))]
+    ));
+    let ids = (0..POISON_STREAMS).filter(|id| *id != 2);
+    for (id, got) in ids.zip(healthy) {
+        assert_eq!(got, Ok(StreamOutput::Plain(healthy_message(id))));
+    }
+    // The failed decrypt rolled back: the untruncated blocks still open
+    // on the same mux, bit-exactly.
+    for mux in [&victim, &control] {
+        let plain = mux.decrypt(StreamId(2), &sealed[2], bit_len(2)).unwrap();
+        assert_eq!(plain, healthy_message(2));
+    }
+    assert_same_states(&victim, &control);
 }
 
 /// Unknown stream ids inside a mixed `submit_batch` fail their own slots
