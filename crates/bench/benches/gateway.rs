@@ -85,49 +85,6 @@ fn bench_gateway_sweep(c: &mut Criterion) {
     }
 }
 
-/// Lanes × message-size sweep: the same seal workload run where the
-/// bitsliced lane engine engages versus where it cannot. The `lanes`
-/// rows use a single-shard mux, so every batch lands the whole
-/// same-key group in one shard queue and `submit_batch` packs it into
-/// u64 lanes; the `scalar` rows spread the identical streams across 64
-/// shards, leaving every per-shard group below `LANE_THRESHOLD` so the
-/// scalar `SpanTable` path does the exact same cipher work. The stream
-/// counts bracket the lane word: threshold (16), one full word (64),
-/// and a word plus a scalar tail (80).
-fn bench_gateway_lanes(c: &mut Criterion) {
-    use mhhea::lanes::{LANE_THRESHOLD, MAX_LANES};
-    let key = mhhea_bench::report_key();
-    for msg_size in [64usize, 1024] {
-        let mut group = c.benchmark_group(format!("gateway_lanes_{msg_size}B"));
-        group.sample_size(10);
-        for streams in [
-            LANE_THRESHOLD as u64,
-            MAX_LANES as u64,
-            MAX_LANES as u64 + LANE_THRESHOLD as u64,
-        ] {
-            let laned = StreamMux::with_shards(1);
-            let scattered = StreamMux::with_shards(64);
-            open_streams(&laned, &key, streams);
-            open_streams(&scattered, &key, streams);
-            let batch = encrypts(streams, msg_size);
-            group.throughput(Throughput::Bytes(streams * msg_size as u64));
-            group.bench_with_input(BenchmarkId::new("lanes", streams), &batch, |b, batch| {
-                b.iter(|| {
-                    let results = laned.submit_batch(batch.clone());
-                    assert!(results.iter().all(Result::is_ok));
-                })
-            });
-            group.bench_with_input(BenchmarkId::new("scalar", streams), &batch, |b, batch| {
-                b.iter(|| {
-                    let results = scattered.submit_batch(batch.clone());
-                    assert!(results.iter().all(Result::is_ok));
-                })
-            });
-        }
-        group.finish();
-    }
-}
-
 /// Full duplex at acceptance scale: 1,024 streams encrypted on one mux
 /// and decrypted on its peer, one `submit_batch` each, measuring the
 /// round trip.
@@ -214,7 +171,6 @@ fn bench_gateway_rekey_churn(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gateway_sweep,
-    bench_gateway_lanes,
     bench_gateway_duplex,
     bench_gateway_rekey_churn
 );

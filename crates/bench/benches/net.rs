@@ -137,9 +137,7 @@ fn bench_raw_baseline(c: &mut Criterion) {
 /// scaling criterion's measurement point — at ≥ 64 connections the
 /// 4-reactor aggregate throughput should approach linear (≥ 2.5× the
 /// single-reactor row on a ≥ 4-core machine; a 1-core box can only show
-/// parity). The `reactors = 1` rows double as the regression guard: the
-/// layered server must stay within 10% of the pre-refactor single-loop
-/// numbers (tracked in `BENCH_*.json`).
+/// parity).
 fn bench_reactor_scaling(c: &mut Criterion) {
     const MSG_SIZE: usize = 256;
     const MSGS: usize = 32;

@@ -10,6 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mhhea::block::{self, BlockOutcome};
 use mhhea::container::{open_v2_with, seal_v2, SealV2Options};
+use mhhea::pipeline::DEFAULT_CHUNK_BYTES;
 use mhhea::session::EncryptSession;
 use mhhea::{Algorithm, Decryptor, Encryptor, Key, LfsrSource, VectorSource};
 
@@ -87,25 +88,31 @@ fn bench_word_level_vs_per_bit(c: &mut Criterion) {
     group.finish();
 }
 
+/// Container v2 over a 512 KiB payload at two chunk sizes: 64 KiB (8
+/// chunks) and the default [`DEFAULT_CHUNK_BYTES`] (32 chunks), each at 1,
+/// 2 and 4 workers.
 fn bench_chunk_parallel_container(c: &mut Criterion) {
     let key = mhhea_bench::report_key();
     let payload = vec![0x3Cu8; 512 * 1024];
     let mut group = c.benchmark_group("container_v2_512k");
     group.sample_size(10);
     group.throughput(Throughput::Bytes(payload.len() as u64));
-    for workers in [1usize, 2, 4] {
-        let opts = SealV2Options {
-            chunk_bytes: 64 * 1024,
-            workers,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new("seal", workers), &payload, |b, payload| {
-            b.iter(|| seal_v2(&key, payload, &opts).unwrap())
-        });
-        let sealed = seal_v2(&key, &payload, &opts).unwrap();
-        group.bench_with_input(BenchmarkId::new("open", workers), &sealed, |b, sealed| {
-            b.iter(|| open_v2_with(&key, sealed, workers).unwrap())
-        });
+    for chunk_bytes in [64 * 1024, DEFAULT_CHUNK_BYTES] {
+        for workers in [1usize, 2, 4] {
+            let opts = SealV2Options {
+                chunk_bytes,
+                workers,
+                ..Default::default()
+            };
+            let row = format!("{}KiB/{workers}", chunk_bytes / 1024);
+            group.bench_with_input(BenchmarkId::new("seal", &row), &payload, |b, payload| {
+                b.iter(|| seal_v2(&key, payload, &opts).unwrap())
+            });
+            let sealed = seal_v2(&key, &payload, &opts).unwrap();
+            group.bench_with_input(BenchmarkId::new("open", &row), &sealed, |b, sealed| {
+                b.iter(|| open_v2_with(&key, sealed, workers).unwrap())
+            });
+        }
     }
     group.finish();
 }

@@ -1,15 +1,13 @@
 //! The batch path: [`StreamMux::submit_batch`] — one pool job per busy
-//! shard, a total scatter back into batch order, and the lane prepass
-//! that runs compatible first-op encrypts through the bitsliced engine.
+//! shard, each running its ops in batch order on the scalar sessions, and
+//! a total scatter back into batch order.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::{lock_shard, GatewayError, StreamId, StreamMux, StreamOp, StreamOutput, StreamState};
-use crate::lanes::{seal_lanes, LaneSealJob, LANE_THRESHOLD};
 use crate::pipeline::WorkerPool;
-use crate::{Algorithm, Key, Profile};
 
 /// One shard's share of a batch: original position, stream, op.
 type ShardItems = Vec<(usize, StreamId, StreamOp)>;
@@ -26,13 +24,6 @@ impl StreamMux {
     /// direction, including [`StreamOp::Rekey`]) keep their batch order,
     /// so work before a rekey runs under the old epoch and work after it
     /// under the new one.
-    ///
-    /// When a busy shard's share of the batch holds at least
-    /// [`LANE_THRESHOLD`] streams whose *first* op is a streaming encrypt
-    /// under the same algorithm and key, those encrypts run through the
-    /// bitsliced lane engine ([`crate::lanes`]) in lockstep; everything
-    /// else stays on the scalar path. The output is bit-identical either
-    /// way.
     ///
     /// ```
     /// use mhhea::gateway::{StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
@@ -69,7 +60,7 @@ impl StreamMux {
         let groups: Vec<(usize, ShardItems)> = groups.into_iter().collect();
         let workers = inner.workers.load(Ordering::Relaxed);
         let scattered: Vec<Done> =
-            WorkerPool::global().map(groups, workers, move |_, (shard_idx, mut items)| {
+            WorkerPool::global().map(groups, workers, move |_, (shard_idx, items)| {
                 let Some(shard) = inner.shards.get(shard_idx) else {
                     // Unreachable: shard_of masks into range. Stay total.
                     return items
@@ -78,18 +69,16 @@ impl StreamMux {
                         .collect();
                 };
                 let mut shard = lock_shard(shard);
-                // The lane prepass completes what it can first; the scalar
-                // loop runs after it, so a laned first op commits its
-                // stream state before any of the stream's later ops run.
-                let mut done = lane_prepass(&mut shard, &mut items);
-                done.extend(items.into_iter().map(|(pos, id, op)| {
-                    let r = match shard.get_mut(&id.0) {
-                        Some(state) => run_op(state, id, op),
-                        None => Err(GatewayError::UnknownStream(id)),
-                    };
-                    (pos, r)
-                }));
-                done
+                items
+                    .into_iter()
+                    .map(|(pos, id, op)| {
+                        let r = match shard.get_mut(&id.0) {
+                            Some(state) => run_op(state, id, op),
+                            None => Err(GatewayError::UnknownStream(id)),
+                        };
+                        (pos, r)
+                    })
+                    .collect()
             });
         // Pre-fill with the (unreachable) internal error so the scatter
         // stays total: every reported position overwrites its slot.
@@ -105,7 +94,7 @@ impl StreamMux {
     }
 }
 
-/// Runs one op on the scalar path.
+/// Runs one op on the stream's sessions.
 fn run_op(s: &mut StreamState, id: StreamId, op: StreamOp) -> Result<StreamOutput, GatewayError> {
     match op {
         StreamOp::Encrypt(msg) => Ok(StreamOutput::Blocks(s.enc.encrypt(&msg)?)),
@@ -116,103 +105,6 @@ fn run_op(s: &mut StreamState, id: StreamId, op: StreamOp) -> Result<StreamOutpu
             epoch: s.rekey(id, epoch)?,
         }),
     }
-}
-
-/// The lane-filling scheduler: one shard's share of a batch enters, and
-/// every stream whose *first* op is a streaming encrypt becomes a lane
-/// candidate. Candidates are grouped by cipher parameters (algorithm +
-/// key — one span table serves a whole group) and groups of at least
-/// [`LANE_THRESHOLD`] run through [`seal_lanes`] in bitsliced lockstep.
-/// Smaller groups, decrypts, rekeys, and every stream's later ops stay
-/// scalar.
-///
-/// Completed items are removed from `items` and returned with their
-/// batch position. The prepass is all-or-nothing per stream: state
-/// snapshots are read-only, and a stream is only advanced (`lane_commit`)
-/// once its kernel output is in hand — any failure leaves the stream
-/// untouched for the scalar path to redo.
-fn lane_prepass(shard: &mut HashMap<u64, StreamState>, items: &mut ShardItems) -> Done {
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut groups: HashMap<(Algorithm, Key), Vec<usize>> = HashMap::new();
-    for (ix, (_pos, id, op)) in items.iter().enumerate() {
-        if !seen.insert(id.0) {
-            continue; // only a stream's first op may jump the queue
-        }
-        if !matches!(op, StreamOp::Encrypt(_)) {
-            continue;
-        }
-        let Some(state) = shard.get(&id.0) else {
-            continue; // unknown stream: the scalar path reports it
-        };
-        if state.profile != Profile::Streaming {
-            continue; // hardware-faithful buffering is inherently serial
-        }
-        groups
-            .entry((state.algorithm, state.key.clone()))
-            .or_default()
-            .push(ix);
-    }
-    let mut sealed: HashMap<usize, Vec<u16>> = HashMap::new();
-    for group in groups.into_values() {
-        if group.len() < LANE_THRESHOLD {
-            continue; // too few lanes to beat the scalar path
-        }
-        let mut jobs: Vec<LaneSealJob> = Vec::with_capacity(group.len());
-        for &ix in &group {
-            let Some((_, id, StreamOp::Encrypt(message))) = items.get(ix) else {
-                continue;
-            };
-            let Some(state) = shard.get(&id.0) else {
-                continue;
-            };
-            let (block_index, lfsr) = state.enc.lane_snapshot();
-            jobs.push(LaneSealJob {
-                message,
-                state: lfsr,
-                block_index,
-            });
-        }
-        if jobs.len() != group.len() {
-            continue; // a candidate went missing (unreachable): scalar
-        }
-        let outs = {
-            let Some((_, id0, _)) = group.first().and_then(|&ix| items.get(ix)) else {
-                continue;
-            };
-            let Some(st0) = shard.get(&id0.0) else {
-                continue;
-            };
-            match seal_lanes(&st0.key, st0.algorithm, st0.enc.span_table(), &jobs) {
-                Ok(outs) => outs,
-                Err(_) => continue, // kernel refused: scalar fallback
-            }
-        };
-        drop(jobs);
-        for (&ix, out) in group.iter().zip(outs) {
-            let Some((_, id, _)) = items.get(ix) else {
-                continue;
-            };
-            let Some(state) = shard.get_mut(&id.0) else {
-                continue;
-            };
-            if state.enc.lane_commit(out.block_index, out.state).is_err() {
-                continue; // stream untouched: the scalar path redoes it
-            }
-            sealed.insert(ix, out.blocks);
-        }
-    }
-    if sealed.is_empty() {
-        return Vec::new();
-    }
-    let mut done = Vec::with_capacity(sealed.len());
-    let rest = std::mem::take(items);
-    for (ix, (pos, id, op)) in rest.into_iter().enumerate() {
-        match sealed.remove(&ix) {
-            Some(blocks) => done.push((pos, Ok(StreamOutput::Blocks(blocks)))),
-            None => items.push((pos, id, op)),
-        }
-    }
-    done
 }
 
 #[cfg(test)]
@@ -281,62 +173,5 @@ mod tests {
                 .unwrap(),
             msgs[1]
         );
-    }
-
-    fn encrypts(ids: impl Iterator<Item = u64>, msg: impl Fn(u64) -> Vec<u8>) -> ShardItems {
-        ids.enumerate()
-            .map(|(pos, id)| (pos, StreamId(id), StreamOp::Encrypt(msg(id))))
-            .collect()
-    }
-
-    /// White-box: the lane prepass engages for a compatible group, removes
-    /// the laned items (bit-exact vs scalar), and leaves ineligible ops —
-    /// hardware-faithful streams, repeat messages — on the scalar path.
-    #[test]
-    fn lane_prepass_packs_compatible_first_ops() {
-        let mux = StreamMux::with_shards(1);
-        for id in 0..19u64 {
-            mux.open(StreamId(id), StreamConfig::new(key())).unwrap();
-        }
-        // Stream 19 is hardware-faithful: never laned.
-        mux.open(
-            StreamId(19),
-            StreamConfig::new(key()).with_profile(crate::Profile::HardwareFaithful),
-        )
-        .unwrap();
-        let reference = StreamMux::with_shards(1);
-        for id in 0..19u64 {
-            reference
-                .open(StreamId(id), StreamConfig::new(key()))
-                .unwrap();
-        }
-        let msg = |id: u64| format!("msg {id}").into_bytes();
-        let mut items = encrypts(0..20, msg);
-        // A second message on stream 0 must stay scalar (order!).
-        items.push((20, StreamId(0), StreamOp::Encrypt(b"second".to_vec())));
-        let mut shard = lock_shard(&mux.inner.shards[0]);
-        let done = lane_prepass(&mut shard, &mut items);
-        drop(shard);
-        assert_eq!(done.len(), 19, "19 compatible first ops lane-pack");
-        assert_eq!(items.len(), 2, "HW stream + repeat message stay scalar");
-        for (pos, out) in done {
-            let id = StreamId(pos as u64);
-            let want = reference.encrypt(id, &msg(id.0)).unwrap();
-            assert_eq!(out, Ok(StreamOutput::Blocks(want)));
-        }
-    }
-
-    #[test]
-    fn lane_prepass_skips_below_threshold() {
-        let mux = StreamMux::with_shards(1);
-        let few = LANE_THRESHOLD as u64 - 1;
-        for id in 0..few {
-            mux.open(StreamId(id), StreamConfig::new(key())).unwrap();
-        }
-        let mut items = encrypts(0..few, |_| vec![0xAB; 8]);
-        let mut shard = lock_shard(&mux.inner.shards[0]);
-        let done = lane_prepass(&mut shard, &mut items);
-        assert!(done.is_empty(), "below threshold nothing lanes");
-        assert_eq!(items.len(), few as usize);
     }
 }

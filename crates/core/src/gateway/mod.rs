@@ -14,7 +14,7 @@
 //! * [`StreamMux::submit_batch`] — the serving path: a mixed tick of
 //!   [`StreamOp`]s (encrypts, decrypts, key rotations) across many
 //!   streams, one pool submission per busy shard, results in batch
-//!   order. Compatible encrypts ride the bitsliced lane engine.
+//!   order.
 //! * [`StreamMux::encrypt`]/[`StreamMux::decrypt`]/[`StreamMux::rekey`]
 //!   — the same operations, one at a time.
 //! * [`StreamMux::seal_chunk`]/[`StreamMux::open_chunk`] —

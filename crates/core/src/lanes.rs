@@ -4,35 +4,26 @@
 //! pairs through one pipeline per clock. The software analogue is
 //! *bitslicing*: bit `j` of every working word belongs to lane `j`, so
 //! one `u64` instruction advances 64 independent streams at once. This
-//! module packs W ≤ [`MAX_LANES`] independent streams — or W chunks of
-//! one container-v2 payload, whose per-chunk
-//! [`crate::pipeline::chunk_seed`] LFSR seeds already make chunks
-//! independent — into `u64` lanes and runs the LFSR leap and the
-//! hiding-vector substitution across all lanes per instruction.
+//! module packs W ≤ [`MAX_LANES`] independent streams into `u64` lanes
+//! and runs the LFSR leap and the hiding-vector substitution across all
+//! lanes per instruction.
 //!
-//! Three engine backends now coexist:
-//!
-//! * the **per-bit** reference in [`crate::block`] (tests and
-//!   cross-checks);
-//! * the **scalar word-level** path ([`crate::block::SpanTable`]) used
-//!   by the sessions;
-//! * the **lane** path here, used by the batch APIs
-//!   ([`crate::gateway::StreamMux::submit_batch`],
-//!   [`crate::container::seal_v2`]) when enough compatible jobs are
-//!   queued ([`LANE_THRESHOLD`]).
+//! No serving path calls this module: the gateway and the v2 container
+//! run the scalar word-level path ([`crate::block::SpanTable`]) through
+//! the sessions, which measured as fast or faster on a CPU (see
+//! `docs/ARCHITECTURE.md`, "Engine backends"). The kernel stays as a
+//! measured alternative, timed by the benchmark's per-layer ledger.
 //!
 //! Lanes run in lockstep: at step `t` every active lane produces exactly
 //! one cipher block at schedule position `block_index + t`. A lane
 //! *retires* when fewer than 8 message bits remain (a span can be up to
 //! 8 bits wide, and the kernel always embeds full spans); retired lanes
-//! finish on the scalar `SpanTable` path inside this module, which is
-//! also where singletons and below-threshold batches stay. The engine is
-//! [`crate::Profile::Streaming`]-only — the hardware-faithful profile's
-//! 16-bit alignment buffer is inherently serial and always takes the
-//! scalar path.
+//! finish on the scalar `SpanTable` path inside this module. The engine
+//! is [`crate::Profile::Streaming`]-only — the hardware-faithful
+//! profile's 16-bit alignment buffer is inherently serial.
 //!
 //! Bit-exactness against the scalar sessions is proven by in-module
-//! differential tests plus the `lanes` differential proptests in
+//! differential tests plus the `lanes` differential proptest in
 //! `crates/core/tests`.
 
 use crate::block::SpanTable;
@@ -40,12 +31,6 @@ use crate::{Algorithm, Key, MhheaError};
 
 /// Maximum number of lanes one kernel invocation carries (`u64` width).
 pub const MAX_LANES: usize = 64;
-
-/// Minimum number of compatible jobs before the batch paths switch from
-/// the scalar `SpanTable` engine to the lane engine. Below this the
-/// fixed kernel cost (transposes, bitsliced leap) outweighs the per-lane
-/// amortisation and the scalar path wins.
-pub const LANE_THRESHOLD: usize = 16;
 
 /// One stream's seal work order for [`seal_lanes`].
 #[derive(Debug, Clone, Copy)]

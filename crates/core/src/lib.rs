@@ -32,11 +32,10 @@
 //!   an explicit [`StreamCursor`], so multi-message traffic keeps both
 //!   endpoints' key schedules in lockstep; both sessions rekey in place
 //!   to a new [`KeyRing`] epoch with a bit-exact cursor handoff.
-//! * [`lanes`] — the bitsliced lockstep engine: up to 64 streams (or
-//!   container chunks) packed one-per-bit into `u64` lanes, advancing
-//!   every lane's LFSR and hiding-vector substitution per instruction;
-//!   the batch APIs fall back to the scalar span-table path for tails
-//!   and below-threshold batches.
+//! * [`lanes`] — a bitsliced lockstep kernel: up to 64 streams packed
+//!   one-per-bit into `u64` lanes, advancing every lane's LFSR and
+//!   hiding-vector substitution per instruction. No serving path calls
+//!   it; it is kept as a measured alternative to the scalar path.
 //! * [`pipeline`] — chunk planning, per-chunk seed derivation and the
 //!   persistent [`pipeline::WorkerPool`] every parallel path submits to.
 //! * [`container`] — a self-describing byte format so decryption knows the

@@ -23,11 +23,11 @@ use std::thread::JoinHandle;
 
 /// Default chunk size for [`crate::container::SealV2Options`]: 16 KiB.
 ///
-/// Sized so that a 1 MiB payload fans out into 64 chunks — one full
-/// lane-engine batch ([`crate::lanes::MAX_LANES`]) — while each chunk
-/// stays large enough that the per-chunk frame overhead is noise. The
-/// format is self-describing, so containers sealed with the old 64 KiB
-/// default still open unchanged.
+/// Sized so that a 1 MiB payload fans out into 64 chunks — enough to
+/// spread over every pool worker with room to balance — while each chunk
+/// stays large enough that the per-chunk frame and session set-up costs
+/// are noise. The format is self-describing, so containers sealed with
+/// any other chunk size (such as the old 64 KiB default) open unchanged.
 pub const DEFAULT_CHUNK_BYTES: usize = 16 * 1024;
 
 /// Derives the per-chunk LFSR seed from a master seed and chunk index.

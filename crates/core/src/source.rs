@@ -70,23 +70,6 @@ impl LfsrSource {
     pub fn state(&self) -> u16 {
         self.state
     }
-
-    /// Repositions the register at `state` without rebuilding the leap
-    /// tables (they depend only on the tap polynomial, not the seed).
-    /// This is how the lane engine hands a stream back to the scalar
-    /// path bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`lfsr::LfsrError::ZeroSeed`] for the all-zero state (the
-    /// lattice's fixed point).
-    pub fn set_state(&mut self, state: u16) -> Result<(), lfsr::LfsrError> {
-        if state == 0 {
-            return Err(lfsr::LfsrError::ZeroSeed);
-        }
-        self.state = state;
-        Ok(())
-    }
 }
 
 impl VectorSource for LfsrSource {
