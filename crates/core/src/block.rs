@@ -187,8 +187,13 @@ impl SpanEntry {
 ///
 /// `table.entry(i, hb)` is the span for block index `i` (cycling through
 /// the schedule) and hiding-vector high byte `hb`. Building a table costs
-/// `256 × schedule length` [`scramble_locations`] evaluations once per
-/// session; after that the engines never recompute a span.
+/// `256 × schedule length` [`scramble_locations`] evaluations (6 bytes per
+/// entry, so 1.5 KiB per key pair); after that the engines never
+/// recompute a span. A table depends only on the key, algorithm and
+/// profile and is never mutated, so sessions hold it behind an `Arc`:
+/// an encrypt/decrypt pair shares one, and a
+/// [`StreamMux`](crate::gateway::StreamMux) shares one across every
+/// stream on the same key.
 #[derive(Debug, Clone)]
 pub struct SpanTable {
     /// One 256-entry table per schedule position.

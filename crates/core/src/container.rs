@@ -53,7 +53,7 @@
 //! chunks concatenate without bit shifting.
 
 use crate::pipeline::{chunk_ranges, chunk_seed, parallel_map, DEFAULT_CHUNK_BYTES};
-use crate::session::{DecryptSession, EncryptSession};
+use crate::session::{build_table, DecryptSession, EncryptSession};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Decryptor, Encryptor, Key, MhheaError, Profile};
 
@@ -272,6 +272,7 @@ pub fn seal_v2(key: &Key, message: &[u8], opts: &SealV2Options) -> Result<Vec<u8
 
     // Pool jobs outlive this stack frame, so each chunk owns its bytes
     // (one payload-sized copy total) and the key travels behind an Arc.
+    // Every chunk session runs on one shared span table.
     let jobs: Vec<(u32, Vec<u8>)> = ranges
         .into_iter()
         .enumerate()
@@ -279,12 +280,18 @@ pub fn seal_v2(key: &Key, message: &[u8], opts: &SealV2Options) -> Result<Vec<u8
         .collect();
     let shared_key = std::sync::Arc::new(key.clone());
     let (algorithm, profile, master_seed) = (opts.algorithm, opts.profile, opts.master_seed);
+    let table = build_table(key, algorithm, profile);
     let sealed: Vec<Result<Vec<u16>, MhheaError>> =
         parallel_map(jobs, opts.workers, move |_, (index, chunk)| {
             let seed = chunk_seed(master_seed, index);
             let source = LfsrSource::new(seed).expect("derived seeds are nonzero");
-            let mut session =
-                EncryptSession::with_options((*shared_key).clone(), source, algorithm, profile);
+            let mut session = EncryptSession::with_table(
+                (*shared_key).clone(),
+                source,
+                algorithm,
+                profile,
+                std::sync::Arc::clone(&table),
+            );
             session.encrypt(&chunk)
         });
 
@@ -526,7 +533,7 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
 
     // Each chunk was sealed by an independent session from the stream
     // origin, so chunks decrypt in any order on any thread (each worker
-    // clones a fresh-cursor template, so the span table is built once).
+    // clones a fresh-cursor template; the clone shares its span table).
     // The hiding vectors travel inside the blocks themselves — the decrypt
     // side never re-derives the per-chunk seeds (the master seed in the
     // header exists so a holder of the key can reproduce the seal

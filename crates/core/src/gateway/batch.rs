@@ -6,7 +6,10 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::{lock_shard, GatewayError, StreamId, StreamMux, StreamOp, StreamOutput, StreamState};
+use super::{
+    lock_shard, GatewayError, StreamId, StreamMux, StreamOp, StreamOutput, StreamState,
+    TableInterner,
+};
 use crate::pipeline::WorkerPool;
 
 /// One shard's share of a batch: original position, stream, op.
@@ -73,7 +76,7 @@ impl StreamMux {
                     .into_iter()
                     .map(|(pos, id, op)| {
                         let r = match shard.get_mut(&id.0) {
-                            Some(state) => run_op(state, id, op),
+                            Some(state) => run_op(state, id, op, &inner.tables),
                             None => Err(GatewayError::UnknownStream(id)),
                         };
                         (pos, r)
@@ -94,15 +97,21 @@ impl StreamMux {
     }
 }
 
-/// Runs one op on the stream's sessions.
-fn run_op(s: &mut StreamState, id: StreamId, op: StreamOp) -> Result<StreamOutput, GatewayError> {
+/// Runs one op on the stream's sessions; a rekey takes its table from
+/// `tables`.
+fn run_op(
+    s: &mut StreamState,
+    id: StreamId,
+    op: StreamOp,
+    tables: &TableInterner,
+) -> Result<StreamOutput, GatewayError> {
     match op {
         StreamOp::Encrypt(msg) => Ok(StreamOutput::Blocks(s.enc.encrypt(&msg)?)),
         StreamOp::Decrypt { blocks, bit_len } => {
             Ok(StreamOutput::Plain(s.dec.decrypt(&blocks, bit_len)?))
         }
         StreamOp::Rekey { epoch } => Ok(StreamOutput::Rekeyed {
-            epoch: s.rekey(id, epoch)?,
+            epoch: s.rekey(id, epoch, tables)?,
         }),
     }
 }

@@ -21,6 +21,11 @@
 //!   chunk-addressed one-shot keystreams for lossy transports; they never
 //!   move the stream's cursors.
 //!
+//! Every stream on one `(key, algorithm, profile)` shares one immutable
+//! span table: the mux interns tables, the way the paper's datapath has
+//! one key cache that every module reads. A stream itself holds its two
+//! cursors, a 2-byte LFSR state, its key and a reference to the table.
+//!
 //! Streams are evictable: [`StreamMux::evict`] serialises a stream's
 //! entire resume state (key, cursors, LFSR state) into a snapshot byte
 //! string and [`StreamMux::restore`] resumes it bit-exactly — the software
@@ -92,11 +97,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
+use crate::block::SpanTable;
 use crate::key::KeyRing;
 use crate::pipeline::chunk_seed;
-use crate::session::{DecryptSession, EncryptSession, StreamCursor};
+use crate::session::{build_table, decrypt_at, DecryptSession, EncryptSession, StreamCursor};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Key, MhheaError, Profile};
 
@@ -327,53 +333,159 @@ struct StreamState {
 }
 
 impl StreamState {
+    /// A stream at the cipher-stream origin, epoch 0, both sessions on
+    /// `tables`' shared table for `(key, algorithm, profile)`.
+    fn new(
+        key: Key,
+        algorithm: Algorithm,
+        profile: Profile,
+        source: LfsrSource,
+        ring: Option<KeyRing>,
+        tables: &TableInterner,
+    ) -> StreamState {
+        let table = tables.get(&key, algorithm, profile);
+        StreamState {
+            enc: EncryptSession::with_table(
+                key.clone(),
+                source,
+                algorithm,
+                profile,
+                Arc::clone(&table),
+            ),
+            dec: DecryptSession::with_table(key.clone(), algorithm, profile, table),
+            key,
+            algorithm,
+            profile,
+            ring,
+            epoch: 0,
+        }
+    }
+
     /// Rotates both sessions to `epoch` atomically: the epoch's key from
     /// the ring, a fresh LFSR reseed on the encrypt side, both cursors
     /// back at the stream origin.
-    fn rekey(&mut self, id: StreamId, epoch: u32) -> Result<u32, GatewayError> {
+    fn rekey(
+        &mut self,
+        id: StreamId,
+        epoch: u32,
+        tables: &TableInterner,
+    ) -> Result<u32, GatewayError> {
         let ring = self.ring.as_ref().ok_or(GatewayError::NoKeyRing(id))?;
-        if epoch <= self.epoch {
-            return Err(GatewayError::StaleEpoch {
-                current: self.epoch,
-                requested: epoch,
-            });
-        }
+        self.check_newer(epoch)?;
         let key = ring.key(epoch).clone();
         let source = LfsrSource::new(ring.seed(epoch))
             .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-        // The epoch check above already passed, so neither session-level
-        // rekey can report a stale epoch; the two sessions always move
-        // together.
-        self.enc.rekey_with(key.clone(), source, epoch)?;
-        self.dec.rekey_with(key.clone(), epoch)?;
-        self.key = key;
-        self.epoch = epoch;
-        Ok(epoch)
+        self.install(key, source, epoch, tables)
     }
 
     /// Rotates both sessions to `epoch` with externally derived material
     /// (a fresh Diffie–Hellman exchange) instead of a ring lookup. The
     /// stream's ring is replaced by a single-entry ring holding exactly
     /// this key and seed, so snapshots of the stream stay restorable.
-    fn rekey_with(&mut self, key: Key, seed: u16, epoch: u32) -> Result<u32, GatewayError> {
-        if epoch <= self.epoch {
-            return Err(GatewayError::StaleEpoch {
-                current: self.epoch,
-                requested: epoch,
-            });
-        }
+    fn rekey_with(
+        &mut self,
+        key: Key,
+        seed: u16,
+        epoch: u32,
+        tables: &TableInterner,
+    ) -> Result<u32, GatewayError> {
+        self.check_newer(epoch)?;
         // A single-key ring only rejects a zero master seed, exactly the
         // condition `LfsrSource::new` rejects below.
         let ring = KeyRing::single(key.clone(), seed)
             .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
         let source =
             LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-        self.enc.rekey_with(key.clone(), source, epoch)?;
-        self.dec.rekey_with(key.clone(), epoch)?;
-        self.key = key;
+        self.install(key, source, epoch, tables)?;
         self.ring = Some(ring);
+        Ok(epoch)
+    }
+
+    fn check_newer(&self, epoch: u32) -> Result<(), GatewayError> {
+        if epoch <= self.epoch {
+            return Err(GatewayError::StaleEpoch {
+                current: self.epoch,
+                requested: epoch,
+            });
+        }
+        Ok(())
+    }
+
+    /// Moves both sessions to `epoch` on `key`'s shared table. The caller
+    /// has already checked the epoch, so neither session-level rekey can
+    /// report a stale epoch; the two sessions always move together.
+    fn install(
+        &mut self,
+        key: Key,
+        source: LfsrSource,
+        epoch: u32,
+        tables: &TableInterner,
+    ) -> Result<u32, GatewayError> {
+        let table = tables.get(&key, self.algorithm, self.profile);
+        self.enc
+            .rekey_with_table(key.clone(), source, epoch, Arc::clone(&table))?;
+        self.dec.rekey_with_table(key.clone(), epoch, table)?;
+        self.key = key;
         self.epoch = epoch;
         Ok(epoch)
+    }
+}
+
+/// Which cipher a span table serves: tables are shared on exact key
+/// equality, never on [`Key::fingerprint`] (two keys with one
+/// fingerprint must not share a table).
+type TableId = (Key, Algorithm, Profile);
+
+/// The mux's span-table interner: one immutable [`SpanTable`] per
+/// [`TableId`], shared by every session on it. Entries are weak, so a
+/// table lives exactly as long as some stream holds it, and dead entries
+/// are pruned as the map grows — unique-key (MHKX) streams leave neither
+/// tables nor map entries behind.
+#[derive(Debug, Default)]
+struct TableInterner {
+    // lock-order: span_tables
+    span_tables: Mutex<TableMap>,
+}
+
+#[derive(Debug, Default)]
+struct TableMap {
+    live: HashMap<TableId, Weak<SpanTable>>,
+    /// Prune dead entries once `live` reaches this length.
+    prune_at: usize,
+}
+
+/// The smallest map length at which dead entries are pruned.
+const MIN_PRUNE_AT: usize = 64;
+
+impl TableInterner {
+    /// Locks the map, recovering from poisoning: every update is a single
+    /// `insert` or `retain` of weak entries, so the map is always valid.
+    fn lock_tables(&self) -> MutexGuard<'_, TableMap> {
+        self.span_tables
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The shared table for `(key, algorithm, profile)`, built on first
+    /// use. The build runs outside the lock, so one new key's build never
+    /// stalls another shard's lookup; if two shards race to build the
+    /// same table, the first one installed wins and is shared.
+    fn get(&self, key: &Key, algorithm: Algorithm, profile: Profile) -> Arc<SpanTable> {
+        let id = (key.clone(), algorithm, profile);
+        if let Some(table) = self.lock_tables().live.get(&id).and_then(Weak::upgrade) {
+            return table;
+        }
+        let built = build_table(key, algorithm, profile);
+        let mut map = self.lock_tables();
+        if let Some(table) = map.live.get(&id).and_then(Weak::upgrade) {
+            return table;
+        }
+        if map.live.len() >= map.prune_at {
+            map.live.retain(|_, table| table.strong_count() > 0);
+            map.prune_at = (2 * map.live.len()).max(MIN_PRUNE_AT);
+        }
+        map.live.insert(id, Arc::downgrade(&built));
+        built
     }
 }
 
@@ -389,8 +501,11 @@ fn lock_shard(shard: &Shard) -> MutexGuard<'_, HashMap<u64, StreamState>> {
 
 #[derive(Debug)]
 struct MuxInner {
-    // lock-order: mux_shard
+    // lock-order: mux_shard < span_tables
     shards: Box<[Shard]>,
+    /// Span tables shared by the streams in `shards`; rekeys look tables
+    /// up while holding a shard lock.
+    tables: TableInterner,
     /// `shards.len() - 1`; the count is a power of two.
     mask: u64,
     /// Max in-flight pool jobs for batch calls (`0` asks the OS).
@@ -457,6 +572,7 @@ impl StreamMux {
         StreamMux {
             inner: Arc::new(MuxInner {
                 shards,
+                tables: TableInterner::default(),
                 mask: (count - 1) as u64,
                 workers: AtomicUsize::new(0),
             }),
@@ -508,20 +624,14 @@ impl StreamMux {
     pub fn open(&self, id: StreamId, config: StreamConfig) -> Result<(), GatewayError> {
         let source = LfsrSource::new(config.seed)
             .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-        let state = StreamState {
-            enc: EncryptSession::with_options(
-                config.key.clone(),
-                source,
-                config.algorithm,
-                config.profile,
-            ),
-            dec: DecryptSession::with_options(config.key.clone(), config.algorithm, config.profile),
-            key: config.key,
-            algorithm: config.algorithm,
-            profile: config.profile,
-            ring: config.ring,
-            epoch: 0,
-        };
+        let state = StreamState::new(
+            config.key,
+            config.algorithm,
+            config.profile,
+            source,
+            config.ring,
+            &self.inner.tables,
+        );
         self.insert(id, state)
     }
 
@@ -604,7 +714,8 @@ impl StreamMux {
     /// unless `epoch` is strictly newer than the stream's current epoch.
     /// On every error the stream is untouched and fully usable.
     pub fn rekey(&self, id: StreamId, epoch: u32) -> Result<u32, GatewayError> {
-        self.inner.with_stream(id, |s| s.rekey(id, epoch))
+        let tables = &self.inner.tables;
+        self.inner.with_stream(id, |s| s.rekey(id, epoch, tables))
     }
 
     /// Rotates one stream (both directions, atomically) to `epoch` using
@@ -628,8 +739,9 @@ impl StreamMux {
         key: Key,
         seed: u16,
     ) -> Result<u32, GatewayError> {
+        let tables = &self.inner.tables;
         self.inner
-            .with_stream(id, |s| s.rekey_with(key, seed, epoch))
+            .with_stream(id, |s| s.rekey_with(key, seed, epoch, tables))
     }
 
     /// Seals one **chunk-addressed** message on a stream: a one-shot
@@ -672,8 +784,13 @@ impl StreamMux {
             let seed = chunk_seed(ring.seed(epoch), chunk_index);
             let source =
                 LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-            let mut enc =
-                EncryptSession::with_options(s.key.clone(), source, s.algorithm, s.profile);
+            let mut enc = EncryptSession::with_table(
+                s.key.clone(),
+                source,
+                s.algorithm,
+                s.profile,
+                Arc::clone(s.enc.table()),
+            );
             Ok(enc.encrypt(message)?)
         })
     }
@@ -707,8 +824,14 @@ impl StreamMux {
                     requested: epoch,
                 });
             }
-            let mut dec = DecryptSession::with_options(s.key.clone(), s.algorithm, s.profile);
-            Ok(dec.decrypt(blocks, bit_len)?)
+            let mut origin = StreamCursor::start();
+            Ok(decrypt_at(
+                s.dec.table(),
+                s.profile,
+                &mut origin,
+                blocks,
+                bit_len,
+            )?)
         })
     }
 
@@ -740,7 +863,7 @@ impl StreamMux {
     /// [`GatewayError::Snapshot`] for malformed bytes;
     /// [`GatewayError::StreamExists`] if the id is already open again.
     pub fn restore(&self, snapshot: &[u8]) -> Result<StreamId, GatewayError> {
-        let (id, state) = snapshot::decode_snapshot(snapshot)?;
+        let (id, state) = snapshot::decode_snapshot(snapshot, &self.inner.tables)?;
         self.insert(id, state)?;
         Ok(id)
     }
@@ -1014,6 +1137,123 @@ mod tests {
         let a = restored.encrypt(StreamId(3), b"epoch three").unwrap();
         let b = control.encrypt(StreamId(3), b"epoch three").unwrap();
         assert_eq!(a, b, "post-restore rotation diverged");
+    }
+
+    /// The table a stream's sessions run on; both halves share it.
+    fn table_of(mux: &StreamMux, id: u64) -> Arc<SpanTable> {
+        mux.inner
+            .with_stream(StreamId(id), |s| {
+                assert!(
+                    Arc::ptr_eq(s.enc.table(), s.dec.table()),
+                    "enc and dec must share one table"
+                );
+                Ok(Arc::clone(s.enc.table()))
+            })
+            .unwrap()
+    }
+
+    fn interned(mux: &StreamMux) -> usize {
+        mux.inner.tables.lock_tables().live.len()
+    }
+
+    #[test]
+    fn streams_on_one_cipher_share_one_span_table() {
+        let mux = StreamMux::with_shards(4);
+        for id in 0..16u64 {
+            let cfg = StreamConfig::new(key()).with_seed(0x0100 + id as u16);
+            mux.open(StreamId(id), cfg).unwrap();
+        }
+        let first = table_of(&mux, 0);
+        for id in 1..16 {
+            assert!(Arc::ptr_eq(&first, &table_of(&mux, id)), "stream {id}");
+        }
+        // 16 streams, 32 sessions, one table (plus this test's handle).
+        assert_eq!(Arc::strong_count(&first), 33);
+        assert_eq!(interned(&mux), 1);
+    }
+
+    #[test]
+    fn distinct_ciphers_get_distinct_span_tables() {
+        let other = Key::from_nibbles(&[(0, 3), (2, 5), (1, 6)]).unwrap();
+        let configs = [
+            StreamConfig::new(key()),
+            StreamConfig::new(key()).with_algorithm(Algorithm::Hhea),
+            StreamConfig::new(key()).with_profile(Profile::HardwareFaithful),
+            StreamConfig::new(other),
+        ];
+        let mux = StreamMux::with_shards(2);
+        for (id, cfg) in configs.into_iter().enumerate() {
+            mux.open(StreamId(id as u64), cfg).unwrap();
+        }
+        let tables: Vec<_> = (0..4).map(|id| table_of(&mux, id)).collect();
+        for a in 0..4 {
+            for b in a + 1..4 {
+                assert!(!Arc::ptr_eq(&tables[a], &tables[b]), "streams {a} and {b}");
+            }
+        }
+        assert_eq!(interned(&mux), 4);
+    }
+
+    /// A rotation onto a key some live stream already runs reuses that
+    /// stream's table — through `rekey`, `submit_batch` and `rekey_with`.
+    #[test]
+    fn rekey_to_a_live_key_reuses_its_span_table() {
+        let mux = StreamMux::with_shards(2);
+        let epoch1_key = ring().key(1).clone();
+        mux.open(StreamId(1), StreamConfig::new(key()).with_ring(ring()))
+            .unwrap();
+        mux.open(StreamId(2), StreamConfig::new(key()).with_ring(ring()))
+            .unwrap();
+        mux.open(StreamId(3), StreamConfig::new(epoch1_key.clone()))
+            .unwrap();
+        let epoch0 = table_of(&mux, 1);
+        let epoch1 = table_of(&mux, 3);
+
+        mux.rekey(StreamId(1), 1).unwrap();
+        assert!(Arc::ptr_eq(&table_of(&mux, 1), &epoch1));
+        let rotated = mux.submit_batch(vec![(StreamId(2), StreamOp::Rekey { epoch: 1 })]);
+        assert_eq!(rotated[0], Ok(StreamOutput::Rekeyed { epoch: 1 }));
+        assert!(Arc::ptr_eq(&table_of(&mux, 2), &epoch1));
+        mux.rekey_with(StreamId(3), 1, key(), 0x5EED).unwrap();
+        assert!(Arc::ptr_eq(&table_of(&mux, 3), &epoch0));
+        assert_eq!(interned(&mux), 2);
+    }
+
+    #[test]
+    fn last_stream_of_a_key_frees_its_span_table() {
+        let mux = StreamMux::with_shards(2);
+        mux.open(StreamId(1), StreamConfig::new(key())).unwrap();
+        mux.open(StreamId(2), StreamConfig::new(key()).with_seed(0xBEEF))
+            .unwrap();
+        let table = Arc::downgrade(&table_of(&mux, 1));
+        mux.close(StreamId(1)).unwrap();
+        assert!(table.upgrade().is_some(), "stream 2 still runs on it");
+        let snapshot = mux.evict(StreamId(2)).unwrap();
+        assert!(table.upgrade().is_none(), "no stream holds the table");
+        // A restore interns a fresh table for the key.
+        mux.restore(&snapshot).unwrap();
+        mux.open(StreamId(3), StreamConfig::new(key())).unwrap();
+        assert!(Arc::ptr_eq(&table_of(&mux, 2), &table_of(&mux, 3)));
+    }
+
+    /// Unique-key streams (MHKX) opened and closed one after another
+    /// leave the interner at a small constant size.
+    #[test]
+    fn unique_key_churn_keeps_the_interner_bounded() {
+        let mux = StreamMux::with_shards(2);
+        for i in 0..10_000u32 {
+            let half = |shift: u32| ((i >> shift) & 7) as u8;
+            let unique =
+                Key::from_nibbles(&[(half(0), half(3)), (half(6), half(9)), (half(12), half(15))])
+                    .unwrap();
+            mux.open(StreamId(7), StreamConfig::new(unique)).unwrap();
+            if i.is_multiple_of(2) {
+                mux.close(StreamId(7)).unwrap();
+            } else {
+                mux.evict(StreamId(7)).unwrap();
+            }
+            assert!(interned(&mux) <= MIN_PRUNE_AT, "key {i}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The MHSS stream snapshot: encode and decode a stream's full resume
 //! state (layout in the [gateway module docs](crate::gateway)).
 
-use super::{StreamId, StreamState};
+use super::{StreamId, StreamState, TableInterner};
 use crate::key::{KeyError, KeyRing, MAX_PAIRS};
-use crate::session::{CursorDecodeError, DecryptSession, EncryptSession, StreamCursor};
+use crate::session::{CursorDecodeError, StreamCursor};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Key, Profile};
 
@@ -201,8 +201,11 @@ fn key_from_pair_bytes(bytes: &[u8]) -> Result<Key, SnapshotDecodeError> {
     Key::from_nibbles(&nibbles).map_err(SnapshotDecodeError::Key)
 }
 
+/// Decodes a snapshot into a stream whose sessions run on `tables`'
+/// shared table for the snapshotted key.
 pub(super) fn decode_snapshot(
     bytes: &[u8],
+    tables: &TableInterner,
 ) -> Result<(StreamId, StreamState), SnapshotDecodeError> {
     let truncated = |need: usize| SnapshotDecodeError::Truncated {
         need,
@@ -285,24 +288,13 @@ pub(super) fn decode_snapshot(
     // state was validated nonzero above, so the error arm is unreachable
     // but keeps the serving path total.
     let source = LfsrSource::new(lfsr_state).map_err(|_| SnapshotDecodeError::ZeroLfsrState)?;
-    let mut enc = EncryptSession::with_options(key.clone(), source, algorithm, profile);
-    enc.set_cursor(enc_cursor);
-    enc.set_epoch(epoch);
-    let mut dec = DecryptSession::with_options(key.clone(), algorithm, profile);
-    dec.set_cursor(dec_cursor);
-    dec.set_epoch(epoch);
-    Ok((
-        id,
-        StreamState {
-            enc,
-            dec,
-            key,
-            algorithm,
-            profile,
-            ring,
-            epoch,
-        },
-    ))
+    let mut state = StreamState::new(key, algorithm, profile, source, ring, tables);
+    state.enc.set_cursor(enc_cursor);
+    state.enc.set_epoch(epoch);
+    state.dec.set_cursor(dec_cursor);
+    state.dec.set_epoch(epoch);
+    state.epoch = epoch;
+    Ok((id, state))
 }
 
 #[cfg(test)]
@@ -310,6 +302,11 @@ mod tests {
     use super::*;
     use crate::gateway::tests::{key, ring};
     use crate::gateway::{StreamConfig, StreamMux};
+
+    /// Decodes against a throwaway interner.
+    fn decode_snapshot(bytes: &[u8]) -> Result<(StreamId, StreamState), SnapshotDecodeError> {
+        super::decode_snapshot(bytes, &TableInterner::default())
+    }
 
     #[test]
     fn snapshot_v2_ring_garbage_rejected() {

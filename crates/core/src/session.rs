@@ -17,7 +17,11 @@
 //! * Both sessions run the **word-level** hot path: a precomputed
 //!   [`SpanTable`] turns each block into a few shift/mask operations on
 //!   `u16`s instead of a per-bit `Iterator<Item = bool>` loop (see
-//!   [`crate::block`]).
+//!   [`crate::block`]). The table is immutable and held behind an
+//!   [`Arc`]: a standalone session builds its own, while the gateway
+//!   hands every session on one `(key, algorithm, profile)` the same
+//!   table, so an encrypt/decrypt pair — or thousands of streams on one
+//!   key — hold one copy.
 //! * Both sessions rotate keys online: [`EncryptSession::rekey`] /
 //!   [`DecryptSession::rekey`] move a live stream to a new
 //!   [`crate::KeyRing`] epoch (new key, fresh LFSR reseed, cursor back at
@@ -26,6 +30,8 @@
 //!
 //! The single-shot [`crate::Encryptor`]/[`crate::Decryptor`] wrappers are
 //! thin shims that rewind a session before every call.
+
+use std::sync::Arc;
 
 use crate::block::SpanTable;
 use crate::key::KeyRing;
@@ -147,7 +153,7 @@ impl StreamCursor {
 #[derive(Debug, Clone)]
 pub struct EncryptSession<S> {
     key: Key,
-    table: SpanTable,
+    table: Arc<SpanTable>,
     source: S,
     algorithm: Algorithm,
     profile: Profile,
@@ -155,11 +161,20 @@ pub struct EncryptSession<S> {
     epoch: u32,
 }
 
-fn build_table(key: &Key, algorithm: Algorithm, profile: Profile) -> SpanTable {
-    match profile {
+/// The span table a session on `(key, algorithm, profile)` runs on.
+pub(crate) fn build_table(key: &Key, algorithm: Algorithm, profile: Profile) -> Arc<SpanTable> {
+    Arc::new(match profile {
         Profile::Streaming => SpanTable::new(key, algorithm),
         Profile::HardwareFaithful => SpanTable::new_hw(key, algorithm),
+    })
+}
+
+/// [`MhheaError::StaleEpoch`] unless `requested` is strictly newer.
+fn check_epoch(current: u32, requested: u32) -> Result<(), MhheaError> {
+    if requested <= current {
+        return Err(MhheaError::StaleEpoch { current, requested });
     }
+    Ok(())
 }
 
 impl<S: VectorSource> EncryptSession<S> {
@@ -174,6 +189,18 @@ impl<S: VectorSource> EncryptSession<S> {
     /// when both are known up front, e.g. one session per chunk).
     pub fn with_options(key: Key, source: S, algorithm: Algorithm, profile: Profile) -> Self {
         let table = build_table(&key, algorithm, profile);
+        Self::with_table(key, source, algorithm, profile, table)
+    }
+
+    /// [`EncryptSession::with_options`] on a table the caller already
+    /// holds, which must be [`build_table`]`(&key, algorithm, profile)`.
+    pub(crate) fn with_table(
+        key: Key,
+        source: S,
+        algorithm: Algorithm,
+        profile: Profile,
+        table: Arc<SpanTable>,
+    ) -> Self {
         EncryptSession {
             key,
             table,
@@ -183,6 +210,11 @@ impl<S: VectorSource> EncryptSession<S> {
             cursor: StreamCursor::start(),
             epoch: 0,
         }
+    }
+
+    /// The span table this session runs on.
+    pub(crate) fn table(&self) -> &Arc<SpanTable> {
+        &self.table
     }
 
     /// Selects the cipher variant (rebuilds the span table).
@@ -248,13 +280,23 @@ impl<S: VectorSource> EncryptSession<S> {
     /// [`MhheaError::StaleEpoch`] unless `epoch` is strictly newer than
     /// the current epoch — epochs only move forward.
     pub fn rekey_with(&mut self, key: Key, source: S, epoch: u32) -> Result<(), MhheaError> {
-        if epoch <= self.epoch {
-            return Err(MhheaError::StaleEpoch {
-                current: self.epoch,
-                requested: epoch,
-            });
-        }
-        self.table = build_table(&key, self.algorithm, self.profile);
+        check_epoch(self.epoch, epoch)?;
+        let table = build_table(&key, self.algorithm, self.profile);
+        self.rekey_with_table(key, source, epoch, table)
+    }
+
+    /// [`EncryptSession::rekey_with`] on a table the caller already
+    /// holds, which must be [`build_table`]`(&key, algorithm, profile)`
+    /// for this session's algorithm and profile.
+    pub(crate) fn rekey_with_table(
+        &mut self,
+        key: Key,
+        source: S,
+        epoch: u32,
+        table: Arc<SpanTable>,
+    ) -> Result<(), MhheaError> {
+        check_epoch(self.epoch, epoch)?;
+        self.table = table;
         self.key = key;
         self.source = source;
         self.cursor = StreamCursor::start();
@@ -395,7 +437,7 @@ impl EncryptSession<LfsrSource> {
 /// [`EncryptSession`].
 #[derive(Debug, Clone)]
 pub struct DecryptSession {
-    table: SpanTable,
+    table: Arc<SpanTable>,
     algorithm: Algorithm,
     profile: Profile,
     cursor: StreamCursor,
@@ -414,6 +456,17 @@ impl DecryptSession {
     /// when both are known up front).
     pub fn with_options(key: Key, algorithm: Algorithm, profile: Profile) -> Self {
         let table = build_table(&key, algorithm, profile);
+        Self::with_table(key, algorithm, profile, table)
+    }
+
+    /// [`DecryptSession::with_options`] on a table the caller already
+    /// holds, which must be [`build_table`]`(&key, algorithm, profile)`.
+    pub(crate) fn with_table(
+        key: Key,
+        algorithm: Algorithm,
+        profile: Profile,
+        table: Arc<SpanTable>,
+    ) -> Self {
         DecryptSession {
             table,
             algorithm,
@@ -422,6 +475,11 @@ impl DecryptSession {
             key,
             epoch: 0,
         }
+    }
+
+    /// The span table this session runs on.
+    pub(crate) fn table(&self) -> &Arc<SpanTable> {
+        &self.table
     }
 
     /// Selects the cipher variant (must match the encrypt side).
@@ -480,13 +538,22 @@ impl DecryptSession {
     /// [`MhheaError::StaleEpoch`] unless `epoch` is strictly newer than
     /// the current epoch.
     pub fn rekey_with(&mut self, key: Key, epoch: u32) -> Result<(), MhheaError> {
-        if epoch <= self.epoch {
-            return Err(MhheaError::StaleEpoch {
-                current: self.epoch,
-                requested: epoch,
-            });
-        }
-        self.table = build_table(&key, self.algorithm, self.profile);
+        check_epoch(self.epoch, epoch)?;
+        let table = build_table(&key, self.algorithm, self.profile);
+        self.rekey_with_table(key, epoch, table)
+    }
+
+    /// [`DecryptSession::rekey_with`] on a table the caller already
+    /// holds, which must be [`build_table`]`(&key, algorithm, profile)`
+    /// for this session's algorithm and profile.
+    pub(crate) fn rekey_with_table(
+        &mut self,
+        key: Key,
+        epoch: u32,
+        table: Arc<SpanTable>,
+    ) -> Result<(), MhheaError> {
+        check_epoch(self.epoch, epoch)?;
+        self.table = table;
         self.key = key;
         self.cursor = StreamCursor::start();
         self.epoch = epoch;

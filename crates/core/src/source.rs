@@ -5,6 +5,8 @@
 //! instead turns the same datapath into a steganographic embedder. This
 //! module abstracts that choice behind [`VectorSource`].
 
+use std::sync::OnceLock;
+
 use lfsr::Fibonacci;
 
 /// Supplies one 16-bit hiding vector per block.
@@ -20,11 +22,14 @@ pub trait VectorSource {
 /// Fibonacci LFSR advanced 16 steps per block (the hardware leap network).
 ///
 /// The 16-step leap is a linear map over GF(2), so — exactly like the
-/// hardware's one-clock leap network — it is precomputed at construction:
-/// the transition matrix ([`lfsr::Fibonacci::leap_matrix`]) is folded into
-/// two 256-entry byte tables and each vector costs two loads and an XOR
-/// instead of sixteen serial shift-and-feedback steps. This is what keeps
-/// the vector supply off the encrypt hot path's critical time.
+/// hardware's one-clock leap network — it is precomputed: the transition
+/// matrix ([`lfsr::Fibonacci::leap_matrix`]) is folded into two 256-entry
+/// byte tables and each vector costs two loads and an XOR instead of
+/// sixteen serial shift-and-feedback steps. This is what keeps the vector
+/// supply off the encrypt hot path's critical time. The tables depend
+/// only on the fixed tap polynomial, so the first source built in the
+/// process builds them and every source shares that one copy; a source
+/// itself is its 16-bit state and a reference.
 ///
 /// # Examples
 ///
@@ -39,10 +44,19 @@ pub trait VectorSource {
 #[derive(Debug, Clone)]
 pub struct LfsrSource {
     state: u16,
-    /// `leap(state) = leap_lo[state & 0xFF] ^ leap_hi[state >> 8]`.
-    leap_lo: [u16; 256],
-    leap_hi: [u16; 256],
+    leap: &'static LeapTables,
 }
+
+/// `leap(state) = lo[state & 0xFF] ^ hi[state >> 8]`: the 16-step leap
+/// matrix folded into byte tables.
+#[derive(Debug)]
+struct LeapTables {
+    lo: [u16; 256],
+    hi: [u16; 256],
+}
+
+/// The process-wide leap tables, built by the first [`LfsrSource::new`].
+static LEAP: OnceLock<LeapTables> = OnceLock::new();
 
 impl LfsrSource {
     /// Creates the generator from a nonzero 16-bit seed.
@@ -52,18 +66,14 @@ impl LfsrSource {
     /// Returns the underlying [`lfsr::LfsrError`] for a zero seed.
     pub fn new(seed: u16) -> Result<Self, lfsr::LfsrError> {
         let reference = Fibonacci::from_table(16, seed as u64)?;
-        let leap = reference.leap_matrix(16);
-        let mut leap_lo = [0u16; 256];
-        let mut leap_hi = [0u16; 256];
-        for b in 0..256usize {
-            leap_lo[b] = leap.apply(b as u64) as u16;
-            leap_hi[b] = leap.apply((b as u64) << 8) as u16;
-        }
-        Ok(LfsrSource {
-            state: seed,
-            leap_lo,
-            leap_hi,
-        })
+        let leap = LEAP.get_or_init(|| {
+            let matrix = reference.leap_matrix(16);
+            LeapTables {
+                lo: core::array::from_fn(|b| matrix.apply(b as u64) as u16),
+                hi: core::array::from_fn(|b| matrix.apply((b as u64) << 8) as u16),
+            }
+        });
+        Ok(LfsrSource { state: seed, leap })
     }
 
     /// Current LFSR state (the next vector before leaping).
@@ -75,7 +85,7 @@ impl LfsrSource {
 impl VectorSource for LfsrSource {
     fn next_vector(&mut self) -> Option<u16> {
         self.state =
-            self.leap_lo[(self.state & 0xFF) as usize] ^ self.leap_hi[(self.state >> 8) as usize];
+            self.leap.lo[(self.state & 0xFF) as usize] ^ self.leap.hi[(self.state >> 8) as usize];
         Some(self.state)
     }
 }

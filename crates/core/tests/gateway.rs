@@ -801,3 +801,104 @@ fn submit_batch_at_lane_word_boundaries() {
         }
     }
 }
+
+/// 256 MHHEA streaming streams share one key (and so one span table) with
+/// distinct seeds, interleaved with HHEA and hardware-faithful streams on
+/// the same key. Driven through `submit_batch` across an evict/restore
+/// and a mid-batch rekey, every seal equals a standalone session oracle
+/// and every open round-trips: shared tables share no mutable state.
+#[test]
+fn shared_span_tables_match_standalone_sessions() {
+    use mhhea::session::EncryptSession;
+    use mhhea::LfsrSource;
+
+    let other = Key::from_nibbles(&[(1, 6), (0, 7)]).unwrap();
+    let mode = |id: u64| match id % 10 {
+        3 => (Algorithm::Hhea, Profile::Streaming),
+        7 => (Algorithm::Mhhea, Profile::HardwareFaithful),
+        _ => (Algorithm::Mhhea, Profile::Streaming),
+    };
+    let ids: Vec<u64> = (0..320).collect();
+    let tx = StreamMux::with_shards(8);
+    let rx = StreamMux::with_shards(8);
+    let mut rings = Vec::new();
+    let mut oracles = Vec::new();
+    for &id in &ids {
+        let (algorithm, profile) = mode(id);
+        let ring = KeyRing::new(vec![key(), other.clone()], 0x2000 + id as u16).unwrap();
+        let cfg = StreamConfig::new(key())
+            .with_algorithm(algorithm)
+            .with_profile(profile)
+            .with_ring(ring.clone());
+        tx.open(StreamId(id), cfg.clone()).unwrap();
+        rx.open(StreamId(id), cfg).unwrap();
+        oracles.push(EncryptSession::with_options(
+            key(),
+            LfsrSource::new(ring.seed(0)).unwrap(),
+            algorithm,
+            profile,
+        ));
+        rings.push(ring);
+    }
+    let rotates = |id: u64| id.is_multiple_of(3);
+    for round in 0..4u8 {
+        if round == 2 {
+            for &id in ids.iter().filter(|id| id.is_multiple_of(5)) {
+                tx.restore(&tx.evict(StreamId(id)).unwrap()).unwrap();
+                rx.restore(&rx.evict(StreamId(id)).unwrap()).unwrap();
+            }
+        }
+        // Each stream sends one message; in round 1 every third stream
+        // also rotates to epoch 1 and sends a second one.
+        let mut sent: Vec<(u64, Option<u32>, Vec<u8>)> = Vec::new();
+        for &id in &ids {
+            let len = (id as usize * 7 + round as usize * 13) % 97;
+            sent.push((id, None, message(len, id as u8 ^ round)));
+            if round == 1 && rotates(id) {
+                sent.push((id, Some(1), Vec::new()));
+                sent.push((id, None, message(len / 2 + 1, round)));
+            }
+        }
+        let seal_ops = sent
+            .iter()
+            .map(|(id, rekey, msg)| match rekey {
+                Some(epoch) => (StreamId(*id), StreamOp::Rekey { epoch: *epoch }),
+                None => (StreamId(*id), StreamOp::Encrypt(msg.clone())),
+            })
+            .collect();
+        let mut open_ops = Vec::new();
+        for ((id, rekey, msg), out) in sent.iter().zip(tx.submit_batch(seal_ops)) {
+            let oracle = &mut oracles[*id as usize];
+            match rekey {
+                Some(epoch) => {
+                    assert_eq!(out, Ok(StreamOutput::Rekeyed { epoch: *epoch }));
+                    oracle.rekey(&rings[*id as usize], *epoch).unwrap();
+                    open_ops.push((StreamId(*id), StreamOp::Rekey { epoch: *epoch }));
+                }
+                None => {
+                    let want = oracle.encrypt(msg).unwrap();
+                    assert_eq!(
+                        out,
+                        Ok(StreamOutput::Blocks(want.clone())),
+                        "stream {id} round {round}"
+                    );
+                    let bit_len = msg.len() * 8;
+                    open_ops.push((
+                        StreamId(*id),
+                        StreamOp::Decrypt {
+                            blocks: want,
+                            bit_len,
+                        },
+                    ));
+                }
+            }
+        }
+        for ((id, rekey, msg), out) in sent.iter().zip(rx.submit_batch(open_ops)) {
+            let want = match rekey {
+                Some(epoch) => StreamOutput::Rekeyed { epoch: *epoch },
+                None => StreamOutput::Plain(msg.clone()),
+            };
+            assert_eq!(out, Ok(want), "stream {id} round {round}");
+        }
+    }
+}

@@ -99,7 +99,11 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Most simultaneously *live* streams in the mux; beyond it, `Hello`
     /// is answered with [`crate::frame::ErrorCode::ServerBusy`]. Bounds what one (or
-    /// many) connections can allocate by looping handshakes.
+    /// many) connections can allocate by looping handshakes. A live stream
+    /// costs about half a KiB (cursors, LFSR state, key copies, map
+    /// entry); its span table (1.5 KiB per key pair) is shared by every
+    /// stream on the same key, so only streams on distinct keys, such as
+    /// MHKX streams, each add a table.
     pub max_streams: usize,
     /// How long a connection marked for closing (protocol violation) may
     /// linger waiting for its goodbye frame to flush before it is torn
