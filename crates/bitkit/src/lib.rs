@@ -1,6 +1,6 @@
 //! Bit-manipulation primitives shared by the MHHEA reproduction suite.
 //!
-//! The crate provides three things:
+//! The crate provides four things:
 //!
 //! * [`BitVec`] — an arbitrary-width bit vector backed by `u64` limbs, with
 //!   the rotation/slice/logic operations the MHHEA datapath is built from.
@@ -8,6 +8,8 @@
 //!   used to turn plaintext bytes into the bit cursor the cipher consumes.
 //! * [`word`] — tiny helpers over machine words (`u16` fields, rotations)
 //!   used where a fixed 16-bit hardware register is being modelled.
+//! * [`le_u16`]/[`le_u32`]/[`le_u64`] — checked little-endian field
+//!   readers for the suite's byte formats.
 //!
 //! Bit order convention used throughout the suite: **index 0 is the least
 //! significant bit**, matching the paper's "location zero refers to the least
@@ -27,10 +29,12 @@
 #![warn(missing_docs)]
 
 mod bitvec;
+mod le;
 mod stream;
 pub mod word;
 
 pub use bitvec::{BitVec, Bits};
+pub use le::{le_u16, le_u32, le_u64};
 pub use stream::{BitReader, BitWriter};
 
 /// Errors produced by bit-level operations in this crate.

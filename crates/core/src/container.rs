@@ -52,6 +52,8 @@
 //! Every chunk but the last carries a whole number of bytes, so opened
 //! chunks concatenate without bit shifting.
 
+use bitkit::{le_u16, le_u32, le_u64};
+
 use crate::pipeline::{chunk_ranges, chunk_seed, parallel_map, DEFAULT_CHUNK_BYTES};
 use crate::session::{build_table, DecryptSession, EncryptSession};
 use crate::source::LfsrSource;
@@ -149,20 +151,6 @@ impl From<MhheaError> for ContainerError {
     }
 }
 
-fn algorithm_tag(algorithm: Algorithm) -> u8 {
-    match algorithm {
-        Algorithm::Hhea => 0,
-        Algorithm::Mhhea => 1,
-    }
-}
-
-fn profile_tag(profile: Profile) -> u8 {
-    match profile {
-        Profile::Streaming => 0,
-        Profile::HardwareFaithful => 1,
-    }
-}
-
 /// Options for [`seal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SealOptions {
@@ -203,8 +191,8 @@ pub fn seal(key: &Key, message: &[u8], opts: &SealOptions) -> Result<Vec<u8>, Co
     let mut out = Vec::with_capacity(HEADER_LEN + blocks.len() * 2);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
-    out.push(algorithm_tag(opts.algorithm));
-    out.push(profile_tag(opts.profile));
+    out.push(opts.algorithm.tag());
+    out.push(opts.profile.tag());
     out.push(0); // reserved
     out.extend_from_slice(&key.fingerprint().to_le_bytes());
     out.extend_from_slice(&bit_len.to_le_bytes());
@@ -298,8 +286,8 @@ pub fn seal_v2(key: &Key, message: &[u8], opts: &SealV2Options) -> Result<Vec<u8
     let mut out = Vec::with_capacity(HEADER_V2_LEN + message.len() * 5);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION_V2);
-    out.push(algorithm_tag(opts.algorithm));
-    out.push(profile_tag(opts.profile));
+    out.push(opts.algorithm.tag());
+    out.push(opts.profile.tag());
     out.push(0); // reserved
     out.extend_from_slice(&key.fingerprint().to_le_bytes());
     out.extend_from_slice(&((message.len() * 8) as u64).to_le_bytes());
@@ -351,12 +339,23 @@ pub struct HeaderV2 {
     pub chunk_count: u32,
 }
 
-fn parse_common(bytes: &[u8], want_version: u8, header_len: usize) -> Result<(), ContainerError> {
+/// A container that ended before byte `need`.
+fn truncated(bytes: &[u8], need: usize) -> ContainerError {
+    ContainerError::Truncated {
+        need,
+        have: bytes.len(),
+    }
+}
+
+/// Checks the length, magic and version every container header starts
+/// with, and parses its algorithm and profile tags.
+fn parse_common(
+    bytes: &[u8],
+    want_version: u8,
+    header_len: usize,
+) -> Result<(Algorithm, Profile), ContainerError> {
     if bytes.len() < header_len {
-        return Err(ContainerError::Truncated {
-            need: header_len,
-            have: bytes.len(),
-        });
+        return Err(truncated(bytes, header_len));
     }
     if bytes[0..4] != MAGIC {
         return Err(ContainerError::BadMagic);
@@ -364,20 +363,9 @@ fn parse_common(bytes: &[u8], want_version: u8, header_len: usize) -> Result<(),
     if bytes[4] != want_version {
         return Err(ContainerError::UnsupportedVersion(bytes[4]));
     }
-    Ok(())
-}
-
-fn parse_tags(bytes: &[u8]) -> Result<(Algorithm, Profile), ContainerError> {
-    let algorithm = match bytes[5] {
-        0 => Algorithm::Hhea,
-        1 => Algorithm::Mhhea,
-        other => return Err(ContainerError::UnknownAlgorithm(other)),
-    };
-    let profile = match bytes[6] {
-        0 => Profile::Streaming,
-        1 => Profile::HardwareFaithful,
-        other => return Err(ContainerError::UnknownProfile(other)),
-    };
+    let algorithm =
+        Algorithm::from_tag(bytes[5]).ok_or(ContainerError::UnknownAlgorithm(bytes[5]))?;
+    let profile = Profile::from_tag(bytes[6]).ok_or(ContainerError::UnknownProfile(bytes[6]))?;
     Ok((algorithm, profile))
 }
 
@@ -389,17 +377,14 @@ fn parse_tags(bytes: &[u8]) -> Result<(Algorithm, Profile), ContainerError> {
 /// container reports [`ContainerError::UnsupportedVersion`]`(2)` — use
 /// [`parse_header_v2`] for those.
 pub fn parse_header(bytes: &[u8]) -> Result<Header, ContainerError> {
-    parse_common(bytes, VERSION, HEADER_LEN)?;
-    let (algorithm, profile) = parse_tags(bytes)?;
-    let fingerprint = u64::from_le_bytes(bytes[8..16].try_into().expect("sized"));
-    let bit_len = u64::from_le_bytes(bytes[16..24].try_into().expect("sized"));
-    let block_count = u32::from_le_bytes(bytes[24..28].try_into().expect("sized"));
+    let (algorithm, profile) = parse_common(bytes, VERSION, HEADER_LEN)?;
+    let truncated = || truncated(bytes, HEADER_LEN);
     Ok(Header {
         algorithm,
         profile,
-        fingerprint,
-        bit_len,
-        block_count,
+        fingerprint: le_u64(bytes, 8).ok_or_else(truncated)?,
+        bit_len: le_u64(bytes, 16).ok_or_else(truncated)?,
+        block_count: le_u32(bytes, 24).ok_or_else(truncated)?,
     })
 }
 
@@ -409,19 +394,15 @@ pub fn parse_header(bytes: &[u8]) -> Result<Header, ContainerError> {
 ///
 /// All structural [`ContainerError`] variants except `KeyMismatch`.
 pub fn parse_header_v2(bytes: &[u8]) -> Result<HeaderV2, ContainerError> {
-    parse_common(bytes, VERSION_V2, HEADER_V2_LEN)?;
-    let (algorithm, profile) = parse_tags(bytes)?;
-    let fingerprint = u64::from_le_bytes(bytes[8..16].try_into().expect("sized"));
-    let bit_len = u64::from_le_bytes(bytes[16..24].try_into().expect("sized"));
-    let master_seed = u16::from_le_bytes(bytes[24..26].try_into().expect("sized"));
-    let chunk_count = u32::from_le_bytes(bytes[28..32].try_into().expect("sized"));
+    let (algorithm, profile) = parse_common(bytes, VERSION_V2, HEADER_V2_LEN)?;
+    let truncated = || truncated(bytes, HEADER_V2_LEN);
     Ok(HeaderV2 {
         algorithm,
         profile,
-        fingerprint,
-        bit_len,
-        master_seed,
-        chunk_count,
+        fingerprint: le_u64(bytes, 8).ok_or_else(truncated)?,
+        bit_len: le_u64(bytes, 16).ok_or_else(truncated)?,
+        master_seed: le_u16(bytes, 24).ok_or_else(truncated)?,
+        chunk_count: le_u32(bytes, 28).ok_or_else(truncated)?,
     })
 }
 
@@ -447,10 +428,7 @@ fn open_v1(key: &Key, bytes: &[u8]) -> Result<Vec<u8>, ContainerError> {
     }
     let need = HEADER_LEN + header.block_count as usize * 2;
     if bytes.len() < need {
-        return Err(ContainerError::Truncated {
-            need,
-            have: bytes.len(),
-        });
+        return Err(truncated(bytes, need));
     }
     let blocks: Vec<u16> = bytes[HEADER_LEN..need]
         .chunks_exact(2)
@@ -493,16 +471,13 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
     let mut offset = HEADER_V2_LEN;
     let mut total_bits: u64 = 0;
     for i in 0..header.chunk_count {
-        if bytes.len() < offset + CHUNK_HEADER_LEN {
-            return Err(ContainerError::Truncated {
-                need: offset + CHUNK_HEADER_LEN,
-                have: bytes.len(),
-            });
-        }
-        let frame = &bytes[offset..];
-        let index = u32::from_le_bytes(frame[0..4].try_into().expect("sized"));
-        let bit_len = u32::from_le_bytes(frame[4..8].try_into().expect("sized"));
-        let block_count = u32::from_le_bytes(frame[8..12].try_into().expect("sized"));
+        let (Some(index), Some(bit_len), Some(block_count)) = (
+            le_u32(bytes, offset),
+            le_u32(bytes, offset + 4),
+            le_u32(bytes, offset + 8),
+        ) else {
+            return Err(truncated(bytes, offset + CHUNK_HEADER_LEN));
+        };
         if index != i {
             return Err(ContainerError::ChunkFraming { index });
         }
@@ -514,10 +489,7 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
         let body = offset + CHUNK_HEADER_LEN;
         let need = body + block_count as usize * 2;
         if bytes.len() < need {
-            return Err(ContainerError::Truncated {
-                need,
-                have: bytes.len(),
-            });
+            return Err(truncated(bytes, need));
         }
         // Owned body: pool jobs must not borrow the caller's buffer (a
         // memcpy per chunk, overlapped with decryption across workers).

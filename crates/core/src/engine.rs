@@ -53,6 +53,24 @@ impl Profile {
             Profile::HardwareFaithful => "hardware-faithful",
         }
     }
+
+    /// The byte MHEA containers, MHSS snapshots and MHNP handshakes (and
+    /// so the MHKX transcript) carry: 0 = streaming, 1 = hardware-faithful.
+    pub fn tag(self) -> u8 {
+        match self {
+            Profile::Streaming => 0,
+            Profile::HardwareFaithful => 1,
+        }
+    }
+
+    /// Inverts [`Profile::tag`]; `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<Profile> {
+        match tag {
+            0 => Some(Profile::Streaming),
+            1 => Some(Profile::HardwareFaithful),
+            _ => None,
+        }
+    }
 }
 
 impl core::fmt::Display for Profile {

@@ -19,11 +19,11 @@ type ShardItems = Vec<(usize, StreamId, StreamOp)>;
 type Done = Vec<(usize, Result<StreamOutput, GatewayError>)>;
 
 impl StreamMux {
-    /// Runs a mixed batch of encrypts, decrypts and key rotations in one
-    /// coalesced pool submission: one sequential job per busy shard, under
-    /// one lock acquisition. `results[i]` corresponds to `batch[i]`; a
-    /// failing stream fails only its own slots — shard-mates in the same
-    /// batch are untouched. Operations on the same stream (in any
+    /// Runs a mixed batch of encrypts, decrypts, key rotations and chunk
+    /// ops in one coalesced pool submission: one sequential job per busy
+    /// shard, under one lock acquisition. `results[i]` corresponds to
+    /// `batch[i]`; a failing stream fails only its own slots —
+    /// shard-mates in the same batch are untouched. Operations on the same stream (in any
     /// direction, including [`StreamOp::Rekey`]) keep their batch order,
     /// so work before a rekey runs under the old epoch and work after it
     /// under the new one.
@@ -98,7 +98,8 @@ impl StreamMux {
 }
 
 /// Runs one op on the stream's sessions; a rekey takes its table from
-/// `tables`.
+/// `tables`. Chunk ops go through the same `StreamState` methods as
+/// [`StreamMux::seal_chunk`]/[`StreamMux::open_chunk`].
 fn run_op(
     s: &mut StreamState,
     id: StreamId,
@@ -113,6 +114,18 @@ fn run_op(
         StreamOp::Rekey { epoch } => Ok(StreamOutput::Rekeyed {
             epoch: s.rekey(id, epoch, tables)?,
         }),
+        StreamOp::SealChunk {
+            epoch,
+            index,
+            plain,
+        } => Ok(StreamOutput::Blocks(
+            s.seal_chunk(id, epoch, index, &plain)?,
+        )),
+        StreamOp::OpenChunk {
+            epoch,
+            blocks,
+            bit_len,
+        } => Ok(StreamOutput::Plain(s.open_chunk(epoch, &blocks, bit_len)?)),
     }
 }
 

@@ -12,14 +12,15 @@
 //! The API tour:
 //!
 //! * [`StreamMux::submit_batch`] — the serving path: a mixed tick of
-//!   [`StreamOp`]s (encrypts, decrypts, key rotations) across many
-//!   streams, one pool submission per busy shard, results in batch
-//!   order.
+//!   [`StreamOp`]s (encrypts, decrypts, key rotations, chunk seals and
+//!   opens) across many streams, one pool submission per busy shard,
+//!   results in batch order.
 //! * [`StreamMux::encrypt`]/[`StreamMux::decrypt`]/[`StreamMux::rekey`]
 //!   — the same operations, one at a time.
 //! * [`StreamMux::seal_chunk`]/[`StreamMux::open_chunk`] —
-//!   chunk-addressed one-shot keystreams for lossy transports; they never
-//!   move the stream's cursors.
+//!   chunk-addressed one-shot keystreams for lossy transports, one at a
+//!   time ([`StreamOp::SealChunk`]/[`StreamOp::OpenChunk`] in a batch);
+//!   they never move the stream's cursors.
 //!
 //! Every stream on one `(key, algorithm, profile)` shares one immutable
 //! span table: the mux interns tables, the way the paper's datapath has
@@ -301,14 +302,37 @@ pub enum StreamOp {
         /// The epoch to rotate to (must be strictly newer).
         epoch: u32,
     },
+    /// Seal one chunk-addressed message, as [`StreamMux::seal_chunk`]
+    /// does; yields [`StreamOutput::Blocks`]. The stream's cursors do
+    /// not move.
+    SealChunk {
+        /// The epoch the chunk is stamped with (must be current).
+        epoch: u32,
+        /// The chunk index that selects the chunk's keystream.
+        index: u32,
+        /// The chunk's plaintext bytes.
+        plain: Vec<u8>,
+    },
+    /// Open one chunk, as [`StreamMux::open_chunk`] does; yields
+    /// [`StreamOutput::Plain`]. The stream's cursors do not move.
+    OpenChunk {
+        /// The epoch the chunk is stamped with (must be current).
+        epoch: u32,
+        /// The chunk's cipher blocks.
+        blocks: Vec<u16>,
+        /// The chunk's plaintext bit length.
+        bit_len: usize,
+    },
 }
 
 /// The output of one [`StreamOp`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamOutput {
-    /// Cipher blocks produced by [`StreamOp::Encrypt`].
+    /// Cipher blocks produced by [`StreamOp::Encrypt`] or
+    /// [`StreamOp::SealChunk`].
     Blocks(Vec<u16>),
-    /// Plaintext bytes recovered by [`StreamOp::Decrypt`].
+    /// Plaintext bytes recovered by [`StreamOp::Decrypt`] or
+    /// [`StreamOp::OpenChunk`].
     Plain(Vec<u8>),
     /// Acknowledges a [`StreamOp::Rekey`]: the stream now runs `epoch`.
     Rekeyed {
@@ -399,6 +423,59 @@ impl StreamState {
         self.install(key, source, epoch, tables)?;
         self.ring = Some(ring);
         Ok(epoch)
+    }
+
+    /// Seals `message` as chunk `index` of `epoch` on a one-shot session
+    /// (see [`StreamMux::seal_chunk`]); the stream's cursors do not move.
+    fn seal_chunk(
+        &self,
+        id: StreamId,
+        epoch: u32,
+        index: u32,
+        message: &[u8],
+    ) -> Result<Vec<u16>, GatewayError> {
+        let ring = self.ring.as_ref().ok_or(GatewayError::NoKeyRing(id))?;
+        self.check_current(epoch)?;
+        let seed = chunk_seed(ring.seed(epoch), index);
+        let source =
+            LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
+        let mut enc = EncryptSession::with_table(
+            self.key.clone(),
+            source,
+            self.algorithm,
+            self.profile,
+            Arc::clone(self.enc.table()),
+        );
+        Ok(enc.encrypt(message)?)
+    }
+
+    /// Opens one chunk of `epoch` from the stream origin (see
+    /// [`StreamMux::open_chunk`]); the stream's cursors do not move.
+    fn open_chunk(
+        &self,
+        epoch: u32,
+        blocks: &[u16],
+        bit_len: usize,
+    ) -> Result<Vec<u8>, GatewayError> {
+        self.check_current(epoch)?;
+        let mut origin = StreamCursor::start();
+        Ok(decrypt_at(
+            self.dec.table(),
+            self.profile,
+            &mut origin,
+            blocks,
+            bit_len,
+        )?)
+    }
+
+    fn check_current(&self, epoch: u32) -> Result<(), GatewayError> {
+        if epoch != self.epoch {
+            return Err(GatewayError::StaleEpoch {
+                current: self.epoch,
+                requested: epoch,
+            });
+        }
+        Ok(())
     }
 
     fn check_newer(&self, epoch: u32) -> Result<(), GatewayError> {
@@ -773,26 +850,8 @@ impl StreamMux {
         chunk_index: u32,
         message: &[u8],
     ) -> Result<Vec<u16>, GatewayError> {
-        self.inner.with_stream(id, |s| {
-            let ring = s.ring.as_ref().ok_or(GatewayError::NoKeyRing(id))?;
-            if epoch != s.epoch {
-                return Err(GatewayError::StaleEpoch {
-                    current: s.epoch,
-                    requested: epoch,
-                });
-            }
-            let seed = chunk_seed(ring.seed(epoch), chunk_index);
-            let source =
-                LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-            let mut enc = EncryptSession::with_table(
-                s.key.clone(),
-                source,
-                s.algorithm,
-                s.profile,
-                Arc::clone(s.enc.table()),
-            );
-            Ok(enc.encrypt(message)?)
-        })
+        self.inner
+            .with_stream(id, |s| s.seal_chunk(id, epoch, chunk_index, message))
     }
 
     /// Opens one chunk sealed by [`StreamMux::seal_chunk`] (this mux or
@@ -817,22 +876,8 @@ impl StreamMux {
         blocks: &[u16],
         bit_len: usize,
     ) -> Result<Vec<u8>, GatewayError> {
-        self.inner.with_stream(id, |s| {
-            if epoch != s.epoch {
-                return Err(GatewayError::StaleEpoch {
-                    current: s.epoch,
-                    requested: epoch,
-                });
-            }
-            let mut origin = StreamCursor::start();
-            Ok(decrypt_at(
-                s.dec.table(),
-                s.profile,
-                &mut origin,
-                blocks,
-                bit_len,
-            )?)
-        })
+        self.inner
+            .with_stream(id, |s| s.open_chunk(epoch, blocks, bit_len))
     }
 
     /// Removes a stream and serialises its full resume state (format in
@@ -1005,6 +1050,46 @@ mod tests {
         assert_eq!(mux.epoch(StreamId(2)).unwrap(), 1);
     }
 
+    /// `seal_chunk`, also run as a one-op `submit_batch`: the two paths
+    /// must agree bit for bit, errors included. Chunk ops move no stream
+    /// state, so running both leaves the mux as one call would.
+    fn seal_both(
+        mux: &StreamMux,
+        id: u64,
+        epoch: u32,
+        index: u32,
+        plain: &[u8],
+    ) -> Result<Vec<u16>, GatewayError> {
+        let direct = mux.seal_chunk(StreamId(id), epoch, index, plain);
+        let op = StreamOp::SealChunk {
+            epoch,
+            index,
+            plain: plain.to_vec(),
+        };
+        let batched = mux.submit_batch(vec![(StreamId(id), op)]);
+        assert_eq!(batched, [direct.clone().map(StreamOutput::Blocks)]);
+        direct
+    }
+
+    /// `open_chunk` and its one-op `submit_batch` form; see [`seal_both`].
+    fn open_both(
+        mux: &StreamMux,
+        id: u64,
+        epoch: u32,
+        blocks: &[u16],
+        bit_len: usize,
+    ) -> Result<Vec<u8>, GatewayError> {
+        let direct = mux.open_chunk(StreamId(id), epoch, blocks, bit_len);
+        let op = StreamOp::OpenChunk {
+            epoch,
+            blocks: blocks.to_vec(),
+            bit_len,
+        };
+        let batched = mux.submit_batch(vec![(StreamId(id), op)]);
+        assert_eq!(batched, [direct.clone().map(StreamOutput::Plain)]);
+        direct
+    }
+
     /// Chunk-addressed seal/open: any order, any subset, and the stream's
     /// sequential cursors never move — chunk and stream traffic coexist.
     #[test]
@@ -1021,20 +1106,18 @@ mod tests {
         let sealed: Vec<Vec<u16>> = chunks
             .iter()
             .enumerate()
-            .map(|(i, c)| tx.seal_chunk(StreamId(9), 0, i as u32, c).unwrap())
+            .map(|(i, c)| seal_both(&tx, 9, 0, i as u32, c).unwrap())
             .collect();
         // Chunk seals leave the sequential encrypt cursor at the origin.
         assert_eq!(tx.cursor(StreamId(9)).unwrap().block_index, 0);
         // Distinct indices must produce distinct keystreams.
-        let again = tx.seal_chunk(StreamId(9), 0, 1, &chunks[0]).unwrap();
+        let again = seal_both(&tx, 9, 0, 1, &chunks[0]).unwrap();
         assert_ne!(again, sealed[0], "chunk seeds must differ per index");
 
         // Open in reverse order, skipping one — delivery order and loss
         // are invisible to chunk decryption.
         for i in [4usize, 2, 1, 0] {
-            let got = rx
-                .open_chunk(StreamId(9), 0, &sealed[i], chunks[i].len() * 8)
-                .unwrap();
+            let got = open_both(&rx, 9, 0, &sealed[i], chunks[i].len() * 8).unwrap();
             assert_eq!(got, chunks[i]);
         }
         // The sequential stream path is byte-identical to a chunk-free
@@ -1056,7 +1139,7 @@ mod tests {
         mux.open(StreamId(4), cfg).unwrap();
         let msg = b"oracle me";
         for index in [0u32, 1, 7] {
-            let sealed = mux.seal_chunk(StreamId(4), 0, index, msg).unwrap();
+            let sealed = seal_both(&mux, 4, 0, index, msg).unwrap();
             let seed = crate::pipeline::chunk_seed(ring().seed(0), index);
             let mut oracle = EncryptSession::with_options(
                 key(),
@@ -1077,37 +1160,76 @@ mod tests {
         mux.open(StreamId(2), StreamConfig::new(key()).with_ring(ring()))
             .unwrap();
         assert_eq!(
-            mux.seal_chunk(StreamId(1), 0, 0, b"no ring"),
+            seal_both(&mux, 1, 0, 0, b"no ring"),
             Err(GatewayError::NoKeyRing(StreamId(1)))
         );
         assert_eq!(
-            mux.seal_chunk(StreamId(7), 0, 0, b"nobody home"),
+            seal_both(&mux, 7, 0, 0, b"nobody home"),
             Err(GatewayError::UnknownStream(StreamId(7)))
         );
         // A wrong epoch stamp — stale or future — is refused up front.
         assert_eq!(
-            mux.seal_chunk(StreamId(2), 3, 0, b"future"),
+            seal_both(&mux, 2, 3, 0, b"future"),
             Err(GatewayError::StaleEpoch {
                 current: 0,
                 requested: 3
             })
         );
-        let epoch0 = mux.seal_chunk(StreamId(2), 0, 0, b"rotate me").unwrap();
+        let epoch0 = seal_both(&mux, 2, 0, 0, b"rotate me").unwrap();
         mux.rekey(StreamId(2), 1).unwrap();
         assert_eq!(
-            mux.open_chunk(StreamId(2), 0, &epoch0, 72),
+            open_both(&mux, 2, 0, &epoch0, 72),
             Err(GatewayError::StaleEpoch {
                 current: 1,
                 requested: 0
             })
         );
         // Index 0 is fresh keystream again under the rotated epoch seed.
-        let epoch1 = mux.seal_chunk(StreamId(2), 1, 0, b"rotate me").unwrap();
+        let epoch1 = seal_both(&mux, 2, 1, 0, b"rotate me").unwrap();
         assert_ne!(epoch0, epoch1, "rotation must change the chunk keystream");
-        assert_eq!(
-            mux.open_chunk(StreamId(2), 1, &epoch1, 72).unwrap(),
-            b"rotate me"
-        );
+        assert_eq!(open_both(&mux, 2, 1, &epoch1, 72).unwrap(), b"rotate me");
+    }
+
+    /// A chunk sealed at epoch e behind a rekey to e + 1 of the same
+    /// stream in one batch runs after the rotation: it gets `StaleEpoch`
+    /// in its own slot, and its shard-mates are served exactly as in the
+    /// same batch without it.
+    #[test]
+    fn chunk_seal_behind_a_rekey_in_one_batch_is_stale_and_confined() {
+        // One shard each: every op shares one job.
+        let (mux, control) = (StreamMux::with_shards(1), StreamMux::with_shards(1));
+        for (m, id) in [(&mux, 2), (&mux, 3), (&control, 2), (&control, 3)] {
+            let cfg = StreamConfig::new(key()).with_ring(ring());
+            m.open(StreamId(id), cfg).unwrap();
+        }
+        let chunk = |id, epoch| {
+            let plain = b"racing the rotation".to_vec();
+            let op = StreamOp::SealChunk {
+                epoch,
+                index: 5,
+                plain,
+            };
+            (StreamId(id), op)
+        };
+        let mut batch = vec![
+            chunk(3, 0),
+            (StreamId(2), StreamOp::Rekey { epoch: 1 }),
+            (StreamId(3), StreamOp::Encrypt(b"shard-mate".to_vec())),
+            chunk(2, 1),
+        ];
+        let want = control.submit_batch(batch.clone());
+        assert!(want.iter().all(Result::is_ok), "{want:?}");
+        batch.insert(2, chunk(2, 0));
+        let mut got = mux.submit_batch(batch);
+        let stale = GatewayError::StaleEpoch {
+            current: 1,
+            requested: 0,
+        };
+        assert_eq!(got.remove(2), Err(stale));
+        assert_eq!(got, want);
+        for id in [2, 3] {
+            assert_eq!(mux.evict(StreamId(id)), control.evict(StreamId(id)));
+        }
     }
 
     /// An evict/restore cycle across a rotation keeps everything: epoch,

@@ -1,6 +1,8 @@
 //! The MHSS stream snapshot: encode and decode a stream's full resume
 //! state (layout in the [gateway module docs](crate::gateway)).
 
+use bitkit::{le_u16, le_u32, le_u64};
+
 use super::{StreamId, StreamState, TableInterner};
 use crate::key::{KeyError, KeyRing, MAX_PAIRS};
 use crate::session::{CursorDecodeError, StreamCursor};
@@ -88,47 +90,6 @@ impl std::error::Error for SnapshotDecodeError {
     }
 }
 
-/// Little-endian `u16` at `at`, or `None` past the end.
-fn le_u16(bytes: &[u8], at: usize) -> Option<u16> {
-    bytes
-        .get(at..at.checked_add(2)?)?
-        .try_into()
-        .ok()
-        .map(u16::from_le_bytes)
-}
-
-/// Little-endian `u32` at `at`, or `None` past the end.
-fn le_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    bytes
-        .get(at..at.checked_add(4)?)?
-        .try_into()
-        .ok()
-        .map(u32::from_le_bytes)
-}
-
-/// Little-endian `u64` at `at`, or `None` past the end.
-fn le_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    bytes
-        .get(at..at.checked_add(8)?)?
-        .try_into()
-        .ok()
-        .map(u64::from_le_bytes)
-}
-
-fn algorithm_tag(algorithm: Algorithm) -> u8 {
-    match algorithm {
-        Algorithm::Hhea => 0,
-        Algorithm::Mhhea => 1,
-    }
-}
-
-fn profile_tag(profile: Profile) -> u8 {
-    match profile {
-        Profile::Streaming => 0,
-        Profile::HardwareFaithful => 1,
-    }
-}
-
 fn push_pairs(out: &mut Vec<u8>, key: &Key) {
     for p in key.pairs() {
         let (l, r) = p.halves();
@@ -141,8 +102,8 @@ pub(super) fn encode_snapshot(id: StreamId, state: &StreamState) -> Vec<u8> {
     let mut out = Vec::with_capacity(SNAPSHOT_V2_HEADER_LEN + pairs.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.push(SNAPSHOT_VERSION);
-    out.push(algorithm_tag(state.algorithm));
-    out.push(profile_tag(state.profile));
+    out.push(state.algorithm.tag());
+    out.push(state.profile.tag());
     // lint: allow(truncating-cast, reason = "Key::from_nibbles caps a key at MAX_PAIRS = 16 pairs")
     out.push(pairs.len() as u8);
     out.extend_from_slice(&id.0.to_le_bytes());
@@ -150,25 +111,19 @@ pub(super) fn encode_snapshot(id: StreamId, state: &StreamState) -> Vec<u8> {
     out.extend_from_slice(&state.enc.cursor().to_bytes());
     out.extend_from_slice(&state.dec.cursor().to_bytes());
     out.extend_from_slice(&state.epoch.to_le_bytes());
-    match &state.ring {
-        Some(ring) => {
-            out.extend_from_slice(&ring.master_seed().to_le_bytes());
-            // lint: allow(truncating-cast, reason = "KeyRing::new caps a ring at MAX_RING_KEYS = 255 keys")
-            out.push(ring.len() as u8);
-            out.push(0); // reserved
-            push_pairs(&mut out, &state.key);
-            for key in ring.keys() {
-                // lint: allow(truncating-cast, reason = "Key::from_nibbles caps a key at MAX_PAIRS = 16 pairs")
-                out.push(key.len() as u8);
-                push_pairs(&mut out, key);
-            }
-        }
-        None => {
-            out.extend_from_slice(&0u16.to_le_bytes());
-            out.push(0);
-            out.push(0); // reserved
-            push_pairs(&mut out, &state.key);
-        }
+    let (master_seed, ring_keys) = match &state.ring {
+        Some(ring) => (ring.master_seed(), ring.keys()),
+        None => (0, [].as_slice()),
+    };
+    out.extend_from_slice(&master_seed.to_le_bytes());
+    // lint: allow(truncating-cast, reason = "KeyRing::new caps a ring at MAX_RING_KEYS = 255 keys")
+    out.push(ring_keys.len() as u8);
+    out.push(0); // reserved
+    push_pairs(&mut out, &state.key);
+    for key in ring_keys {
+        // lint: allow(truncating-cast, reason = "Key::from_nibbles caps a key at MAX_PAIRS = 16 pairs")
+        out.push(key.len() as u8);
+        push_pairs(&mut out, key);
     }
     out
 }
@@ -211,51 +166,43 @@ pub(super) fn decode_snapshot(
         need,
         have: bytes.len(),
     };
-    if bytes.len() < SNAPSHOT_HEADER_LEN {
-        return Err(truncated(SNAPSHOT_HEADER_LEN));
-    }
-    if bytes.get(0..4) != Some(SNAPSHOT_MAGIC.as_slice()) {
-        return Err(SnapshotDecodeError::BadMagic);
-    }
-    let (Some(&version), Some(&alg), Some(&prof), Some(&raw_pairs)) =
-        (bytes.get(4), bytes.get(5), bytes.get(6), bytes.get(7))
+    // The decrypt cursor ends the fixed prefix, so once it reads, every
+    // prefix field does.
+    let (
+        Some(magic),
+        Some(&[version, alg, prof, raw_pairs]),
+        Some(raw_id),
+        Some(lfsr_state),
+        Some(enc_bytes),
+        Some(dec_bytes),
+    ) = (
+        bytes.get(..4),
+        bytes.get(4..8),
+        le_u64(bytes, 8),
+        le_u16(bytes, 16),
+        bytes.get(18..27),
+        bytes.get(27..SNAPSHOT_HEADER_LEN),
+    )
     else {
         return Err(truncated(SNAPSHOT_HEADER_LEN));
     };
+    if magic != SNAPSHOT_MAGIC {
+        return Err(SnapshotDecodeError::BadMagic);
+    }
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotDecodeError::UnsupportedVersion(version));
     }
-    let algorithm = match alg {
-        0 => Algorithm::Hhea,
-        1 => Algorithm::Mhhea,
-        other => return Err(SnapshotDecodeError::UnknownAlgorithm(other)),
-    };
-    let profile = match prof {
-        0 => Profile::Streaming,
-        1 => Profile::HardwareFaithful,
-        other => return Err(SnapshotDecodeError::UnknownProfile(other)),
-    };
+    let algorithm = Algorithm::from_tag(alg).ok_or(SnapshotDecodeError::UnknownAlgorithm(alg))?;
+    let profile = Profile::from_tag(prof).ok_or(SnapshotDecodeError::UnknownProfile(prof))?;
     let pair_count = raw_pairs as usize;
     if pair_count == 0 || pair_count > MAX_PAIRS {
         return Err(SnapshotDecodeError::BadPairCount(raw_pairs));
     }
-    let Some(raw_id) = le_u64(bytes, 8) else {
-        return Err(truncated(SNAPSHOT_HEADER_LEN));
-    };
     let id = StreamId(raw_id);
-    let Some(lfsr_state) = le_u16(bytes, 16) else {
-        return Err(truncated(SNAPSHOT_HEADER_LEN));
-    };
     if lfsr_state == 0 {
         return Err(SnapshotDecodeError::ZeroLfsrState);
     }
-    let Some(enc_bytes) = bytes.get(18..27) else {
-        return Err(truncated(SNAPSHOT_HEADER_LEN));
-    };
     let enc_cursor = StreamCursor::from_bytes(enc_bytes).map_err(SnapshotDecodeError::Cursor)?;
-    let Some(dec_bytes) = bytes.get(27..36) else {
-        return Err(truncated(SNAPSHOT_HEADER_LEN));
-    };
     let dec_cursor = StreamCursor::from_bytes(dec_bytes).map_err(SnapshotDecodeError::Cursor)?;
     let (Some(epoch), Some(master_seed), Some(&ring_count)) =
         (le_u32(bytes, 36), le_u16(bytes, 40), bytes.get(42))

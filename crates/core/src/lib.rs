@@ -105,6 +105,24 @@ impl Algorithm {
             Algorithm::Mhhea => "MHHEA",
         }
     }
+
+    /// The byte MHEA containers, MHSS snapshots and MHNP handshakes (and
+    /// so the MHKX transcript) carry: 0 = HHEA, 1 = MHHEA.
+    pub fn tag(self) -> u8 {
+        match self {
+            Algorithm::Hhea => 0,
+            Algorithm::Mhhea => 1,
+        }
+    }
+
+    /// Inverts [`Algorithm::tag`]; `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<Algorithm> {
+        match tag {
+            0 => Some(Algorithm::Hhea),
+            1 => Some(Algorithm::Mhhea),
+            _ => None,
+        }
+    }
 }
 
 impl core::fmt::Display for Algorithm {

@@ -38,7 +38,7 @@ use crate::key::KeyRing;
 use crate::source::{LfsrSource, VectorSource};
 use crate::stats::estimated_blocks;
 use crate::{Algorithm, Key, MhheaError, Profile};
-use bitkit::{word, BitReader, BitWriter};
+use bitkit::{le_u64, word, BitReader, BitWriter};
 
 /// A position in the cipher-block stream, shared by both endpoints.
 ///
@@ -116,11 +116,11 @@ impl StreamCursor {
     /// Rejects a slice of the wrong length or a buffered-bit count outside
     /// `0..16` (no 16-bit alignment buffer can hold 16 leftover bits).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CursorDecodeError> {
-        if bytes.len() != StreamCursor::ENCODED_LEN {
+        let (StreamCursor::ENCODED_LEN, Some(block_index), Some(&buffered)) =
+            (bytes.len(), le_u64(bytes, 0), bytes.get(8))
+        else {
             return Err(CursorDecodeError::WrongLength { have: bytes.len() });
-        }
-        let block_index = u64::from_le_bytes(bytes[0..8].try_into().expect("sized"));
-        let buffered = bytes[8];
+        };
         if buffered >= 16 {
             return Err(CursorDecodeError::InvalidBuffered(buffered));
         }

@@ -754,6 +754,12 @@ proptest! {
                     StreamOp::Rekey { epoch } => {
                         scalar.rekey(*id, *epoch).map(|epoch| StreamOutput::Rekeyed { epoch })
                     }
+                    StreamOp::SealChunk { epoch, index, plain } => {
+                        scalar.seal_chunk(*id, *epoch, *index, plain).map(StreamOutput::Blocks)
+                    }
+                    StreamOp::OpenChunk { epoch, blocks, bit_len } => {
+                        scalar.open_chunk(*id, *epoch, blocks, *bit_len).map(StreamOutput::Plain)
+                    }
                 })
                 .collect();
             prop_assert_eq!(got, want, "round {}", round);

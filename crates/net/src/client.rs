@@ -24,9 +24,9 @@ use mhhea::{Algorithm, Key, Profile};
 use mhhea_kex::{derive_session, tags_equal, transcript, EphemeralSecret};
 
 use crate::frame::{
-    self, algorithm_wire_tag, decode_blocks, decode_error, decode_key_ex_ack, decode_rekey_ack,
-    decode_resumed_ack, encode_blocks, encode_key_ex_confirm, encode_rekey, flags, join_seq,
-    profile_wire_tag, ErrorCode, Frame, FrameError, FrameKind, Hello, KeyExAckPayload, KeyExInit,
+    self, decode_blocks, decode_error, decode_key_ex_ack, decode_rekey_ack, decode_resumed_ack,
+    encode_blocks, encode_key_ex_confirm, encode_rekey, flags, join_seq, ErrorCode, Frame,
+    FrameError, FrameKind, Hello, KeyExAckPayload, KeyExInit,
 };
 
 /// A sealed message as it travels in a `Reply`: the plaintext bit length
@@ -325,8 +325,8 @@ impl NetClient {
         let t = transcript(
             stream,
             epoch,
-            algorithm_wire_tag(algorithm),
-            profile_wire_tag(profile),
+            algorithm.tag(),
+            profile.tag(),
             &client_pub,
             &server_pub,
         );
@@ -437,10 +437,9 @@ impl NetClient {
 
     /// Extracts the resume token from a `HelloAck` payload.
     fn ack_token(ack: &Frame) -> Result<u64, ClientError> {
-        let bytes: [u8; 8] = ack.payload.as_slice().try_into().map_err(|_| {
+        frame::decode_token(&ack.payload).ok_or_else(|| {
             ClientError::UnexpectedFrame("hello-ack without an 8-byte resume token".into())
-        })?;
-        Ok(u64::from_le_bytes(bytes))
+        })
     }
 
     /// Rotates the stream to a new key epoch and returns the **fresh

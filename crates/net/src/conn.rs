@@ -14,8 +14,9 @@
 //! and routes anything connection-transcending (handshakes, the gateway
 //! batch, eviction) through shared state it owns. That decoupling is
 //! what lets N reactor threads drive disjoint connection sets over one
-//! gateway — and what a future datagram transport would reuse with a
-//! different driver.
+//! gateway. The tick plumbing defined here (tickets and [`TickSink`])
+//! also carries the datagram path's chunks, which reactor 0 queues into
+//! the same batch with replies routed to a peer address.
 //!
 //! Reply framing is zero-copy per frame: payloads are encoded into a
 //! per-connection scratch buffer (or borrowed outright) and appended to
@@ -24,9 +25,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use mhhea::gateway::{StreamId, StreamOp};
+use mhhea::gateway::{GatewayError, StreamId, StreamOp, StreamOutput};
 
 use crate::frame::{
     self, decode_blocks, decode_rekey, encode_error, flags, split_seq, ErrorCode, Frame, FrameKind,
@@ -67,47 +69,135 @@ pub(crate) struct PendingKex {
     pub epoch: u32,
 }
 
-/// How a submitted op's output travels back to the client.
-pub(crate) enum ReplyShape {
-    /// A seal: `Reply` carrying `bit_len ∥ blocks`.
-    Seal {
-        /// The plaintext bit length to prefix the blocks with.
-        bit_len: u32,
-    },
-    /// An open: `Reply` carrying plaintext, flagged [`flags::DIR_OPEN`].
-    Open,
-    /// A rotation: `RekeyAck` carrying the epoch and a fresh resume
-    /// token; accepting it also restamps the stream's expected sequence.
-    Rekey,
+/// What validating a `Data`/`Rekey` frame or a `DgramData` packet
+/// decided: the gateway op to queue, or the refusal to answer without
+/// touching cipher state.
+pub(crate) type Verdict = Result<StreamOp, (ErrorCode, String)>;
+
+/// A ticket's answer: its op's output, or the refusal to send back.
+pub(crate) type Answer = Result<StreamOutput, (ErrorCode, String)>;
+
+/// Where a ticket's answer goes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ReplyTo {
+    /// The connection at this index in the reactor's table.
+    Conn(usize),
+    /// The datagram peer at this source address.
+    Peer(SocketAddr),
 }
 
-/// What a parsed `Data`/`Rekey` frame turned into: either a slot in this
-/// tick's gateway batch, or an immediate failure that still must be
-/// answered *in request order*.
+/// One validated request, answered *in request order*.
 pub(crate) struct DataTicket {
-    /// Index of the owning connection in the reactor's table.
-    pub conn: usize,
+    pub to: ReplyTo,
     pub stream: u64,
     pub seq: u64,
-    pub outcome: TicketOutcome,
+    /// The plaintext bit length a seal reply's blocks are prefixed with.
+    pub bit_len: u32,
+    /// The request's slot in this tick's gateway batch, or its refusal
+    /// (made before touching any cipher state).
+    pub slot: Result<usize, (ErrorCode, String)>,
 }
 
-pub(crate) enum TicketOutcome {
-    /// `batch[index]`, with how the result must be framed back.
-    Submitted { index: usize, shape: ReplyShape },
-    /// Rejected before touching any cipher state.
-    Rejected { code: ErrorCode, detail: String },
+/// Takes a ticket's answer out of the tick's batch results. A missing
+/// slot is a bookkeeping bug, answered as an engine error rather than
+/// with a reactor panic.
+pub(crate) fn take_answer(
+    slot: Result<usize, (ErrorCode, String)>,
+    results: &mut [Option<Result<StreamOutput, GatewayError>>],
+) -> Answer {
+    match results.get_mut(slot?).and_then(Option::take) {
+        Some(Ok(output)) => Ok(output),
+        Some(Err(e)) => {
+            // The machine-distinguishable failures: a rotation (or a
+            // chunk) racing another rotation, and a stream that left the
+            // mux under a datagram chunk.
+            let code = match e {
+                GatewayError::StaleEpoch { .. } => ErrorCode::StaleEpoch,
+                GatewayError::UnknownStream(_) => ErrorCode::UnknownStream,
+                _ => ErrorCode::Engine,
+            };
+            Err((code, e.to_string()))
+        }
+        None => {
+            debug_assert!(false, "each slot consumed once");
+            let detail = "internal: batch result slot missing";
+            Err((ErrorCode::Engine, detail.into()))
+        }
+    }
 }
 
-/// The per-tick accumulators a connection's parse phase feeds: the
-/// reactor's shared gateway batch, the ordered ticket list, deferred
-/// goodbye frames, and the set of streams with a rotation in flight.
+/// Appends a ticket's answer to `out` as one frame, and returns its
+/// kind. A seal's blocks (prefixed with `bit_len`) and an open's
+/// plaintext (flagged [`flags::DIR_OPEN`]) travel as a `reply` frame, a
+/// refusal as an `Error` frame (`code ∥ truncated detail`); payloads are
+/// encoded through the reusable `scratch`. A rotation's ack is TCP-only,
+/// so it yields `None` and appends nothing.
+pub(crate) fn encode_answer(
+    out: &mut Vec<u8>,
+    scratch: &mut Vec<u8>,
+    reply: FrameKind,
+    stream: u64,
+    seq: u64,
+    bit_len: u32,
+    answer: &Answer,
+) -> Option<FrameKind> {
+    scratch.clear();
+    let (kind, flags, payload) = match answer {
+        Ok(StreamOutput::Blocks(blocks)) => {
+            scratch.extend_from_slice(&bit_len.to_le_bytes());
+            for b in blocks {
+                scratch.extend_from_slice(&b.to_le_bytes());
+            }
+            (reply, 0, scratch.as_slice())
+        }
+        Ok(StreamOutput::Plain(plain)) => (reply, flags::DIR_OPEN, plain.as_slice()),
+        Ok(StreamOutput::Rekeyed { .. }) => return None,
+        Err((code, detail)) => {
+            // lint: allow(truncating-cast, reason = "ErrorCode is repr(u8); the discriminant is the wire byte")
+            scratch.push(*code as u8);
+            let cap = detail.len().min(MAX_ERROR_DETAIL_BYTES);
+            scratch.extend_from_slice(detail.as_bytes().get(..cap).unwrap_or_default());
+            (FrameKind::Error, 0, scratch.as_slice())
+        }
+    };
+    frame::encode_raw(out, kind, flags, stream, seq, payload);
+    Some(kind)
+}
+
+/// The per-tick accumulators the parse phase feeds: the reactor's shared
+/// gateway batch, the ordered ticket list, deferred goodbye frames, and
+/// the set of streams with a rotation in flight.
 pub(crate) struct TickSink<'a> {
     pub batch: &'a mut Vec<(StreamId, StreamOp)>,
     pub tickets: &'a mut Vec<DataTicket>,
     pub goodbyes: &'a mut Vec<(usize, Frame)>,
     pub rekey_pending: &'a mut HashSet<u64>,
     pub stats: &'a ServerStats,
+}
+
+impl TickSink<'_> {
+    /// Queues a validated request: its op joins the batch behind a
+    /// ticket, or its refusal becomes a ticket of its own.
+    pub(crate) fn push(&mut self, to: ReplyTo, stream: u64, seq: u64, verdict: Verdict) {
+        // Both validators cap a seal's plaintext far below u32::MAX bits.
+        let bit_len = match &verdict {
+            Ok(StreamOp::Encrypt(plain) | StreamOp::SealChunk { plain, .. }) => {
+                u32::try_from(plain.len() * 8).unwrap_or(u32::MAX)
+            }
+            _ => 0,
+        };
+        let slot = verdict.map(|op| {
+            self.batch.push((StreamId(stream), op));
+            self.batch.len() - 1
+        });
+        self.tickets.push(DataTicket {
+            to,
+            stream,
+            seq,
+            bit_len,
+            slot,
+        });
+    }
 }
 
 /// What the control layer decided about a `Hello`/`Resume`/`Bye` (or a
@@ -321,28 +411,9 @@ impl<S: Read + Write> Conn<S> {
                 ServerStats::bump(&sink.stats.frames_received);
                 handled = true;
                 data_queued = true;
-                let stream = frame.stream;
-                let seq = frame.seq;
-                match self.validate_data(frame, sink.rekey_pending) {
-                    Ok((op, shape)) => {
-                        sink.tickets.push(DataTicket {
-                            conn: idx,
-                            stream,
-                            seq,
-                            outcome: TicketOutcome::Submitted {
-                                index: sink.batch.len(),
-                                shape,
-                            },
-                        });
-                        sink.batch.push((StreamId(stream), op));
-                    }
-                    Err((code, detail)) => sink.tickets.push(DataTicket {
-                        conn: idx,
-                        stream,
-                        seq,
-                        outcome: TicketOutcome::Rejected { code, detail },
-                    }),
-                }
+                let (stream, seq) = (frame.stream, frame.seq);
+                let verdict = self.validate_data(frame, sink.rekey_pending);
+                sink.push(ReplyTo::Conn(idx), stream, seq, verdict);
             } else {
                 if data_queued {
                     // Preserve order: this control frame executes only
@@ -372,11 +443,7 @@ impl<S: Read + Write> Conn<S> {
     /// payload shape) against this connection's stream table and either
     /// returns the gateway op to enqueue or the rejection to answer.
     /// Rejections never touch cipher state, so the stream survives them.
-    fn validate_data(
-        &mut self,
-        frame: Frame,
-        rekey_pending: &mut HashSet<u64>,
-    ) -> Result<(StreamOp, ReplyShape), (ErrorCode, String)> {
+    fn validate_data(&mut self, frame: Frame, rekey_pending: &mut HashSet<u64>) -> Verdict {
         let stream = frame.stream;
         let seq = frame.seq;
         let Some(&expected) = self.streams.get(&stream) else {
@@ -442,9 +509,9 @@ impl<S: Read + Write> Conn<S> {
                 "per-epoch sequence space exhausted; rekey the stream".to_string(),
             ));
         }
-        let (op, shape) = if frame.kind == FrameKind::Rekey {
+        let op = if frame.kind == FrameKind::Rekey {
             match decode_rekey(&frame.payload) {
-                Ok(epoch) if epoch > cur_epoch => (StreamOp::Rekey { epoch }, ReplyShape::Rekey),
+                Ok(epoch) if epoch > cur_epoch => StreamOp::Rekey { epoch },
                 Ok(epoch) => {
                     return Err((
                         ErrorCode::StaleEpoch,
@@ -457,13 +524,10 @@ impl<S: Read + Write> Conn<S> {
             }
         } else if frame.flags & flags::DIR_OPEN != 0 {
             match decode_blocks(&frame.payload) {
-                Ok((bit_len, blocks)) => (
-                    StreamOp::Decrypt {
-                        blocks,
-                        bit_len: bit_len as usize,
-                    },
-                    ReplyShape::Open,
-                ),
+                Ok((bit_len, blocks)) => StreamOp::Decrypt {
+                    blocks,
+                    bit_len: bit_len as usize,
+                },
                 Err(e) => return Err((ErrorCode::Protocol, e.to_string())),
             }
         } else {
@@ -479,12 +543,7 @@ impl<S: Read + Write> Conn<S> {
                     ),
                 ));
             }
-            // lint: allow(truncating-cast, reason = "payload.len() ≤ MAX_MESSAGE_BYTES (checked above), so len*8 fits u32")
-            let bit_len = (frame.payload.len() * 8) as u32;
-            (
-                StreamOp::Encrypt(frame.payload),
-                ReplyShape::Seal { bit_len },
-            )
+            StreamOp::Encrypt(frame.payload)
         };
         // Consume the sequence number in the *current* epoch; a
         // successful rekey additionally restamps it to the new epoch's
@@ -494,7 +553,7 @@ impl<S: Read + Write> Conn<S> {
         // epoch but executed after the rotation. At counter u32::MAX only
         // a Rekey can get here — skip the bump (it would roll into the
         // epoch bits); the pending guard covers the gap until the ack.
-        if matches!(shape, ReplyShape::Rekey) {
+        if matches!(op, StreamOp::Rekey { .. }) {
             rekey_pending.insert(stream);
         }
         if cur_counter != u32::MAX {
@@ -504,7 +563,7 @@ impl<S: Read + Write> Conn<S> {
                 *next = expected + 1;
             }
         }
-        Ok((op, shape))
+        Ok(op)
     }
 
     /// Appends an already-built frame to the write buffer (handshake and
@@ -513,71 +572,18 @@ impl<S: Read + Write> Conn<S> {
         frame.encode_into(&mut self.wbuf);
     }
 
-    /// Appends a seal-direction `Reply` (`bit_len ∥ blocks`), encoding
-    /// the payload through the connection's reusable scratch buffer —
-    /// no per-frame allocation.
-    pub(crate) fn push_seal_reply(&mut self, stream: u64, seq: u64, bit_len: u32, blocks: &[u16]) {
-        self.payload_scratch.clear();
-        self.payload_scratch
-            .extend_from_slice(&bit_len.to_le_bytes());
-        for b in blocks {
-            self.payload_scratch.extend_from_slice(&b.to_le_bytes());
-        }
-        frame::encode_raw(
+    /// Appends a ticket's answer, framed by [`encode_answer`] as a
+    /// `Reply` (or an `Error`) — no per-frame allocation.
+    pub(crate) fn push_answer(&mut self, stream: u64, seq: u64, bit_len: u32, answer: &Answer) {
+        let scratch = &mut self.payload_scratch;
+        encode_answer(
             &mut self.wbuf,
+            scratch,
             FrameKind::Reply,
-            0,
             stream,
             seq,
-            &self.payload_scratch,
-        );
-    }
-
-    /// Appends an open-direction `Reply`, borrowing the recovered
-    /// plaintext straight into the frame encoder.
-    pub(crate) fn push_open_reply(&mut self, stream: u64, seq: u64, plain: &[u8]) {
-        frame::encode_raw(
-            &mut self.wbuf,
-            FrameKind::Reply,
-            flags::DIR_OPEN,
-            stream,
-            seq,
-            plain,
-        );
-    }
-
-    /// Appends a `RekeyAck` (`epoch ∥ fresh token`) through the scratch
-    /// buffer.
-    pub(crate) fn push_rekey_ack(&mut self, stream: u64, seq: u64, epoch: u32, token: u64) {
-        self.payload_scratch.clear();
-        self.payload_scratch.extend_from_slice(&epoch.to_le_bytes());
-        self.payload_scratch.extend_from_slice(&token.to_le_bytes());
-        frame::encode_raw(
-            &mut self.wbuf,
-            FrameKind::RekeyAck,
-            0,
-            stream,
-            seq,
-            &self.payload_scratch,
-        );
-    }
-
-    /// Appends an `Error` frame (`code ∥ truncated detail`) through the
-    /// scratch buffer.
-    pub(crate) fn push_error(&mut self, stream: u64, seq: u64, code: ErrorCode, detail: &str) {
-        self.payload_scratch.clear();
-        // lint: allow(truncating-cast, reason = "ErrorCode is repr(u8); the discriminant is the wire byte")
-        self.payload_scratch.push(code as u8);
-        // lint: allow(panic-path, reason = "slice end is detail.len().min(cap), never past the end")
-        let detail = &detail.as_bytes()[..detail.len().min(MAX_ERROR_DETAIL_BYTES)];
-        self.payload_scratch.extend_from_slice(detail);
-        frame::encode_raw(
-            &mut self.wbuf,
-            FrameKind::Error,
-            0,
-            stream,
-            seq,
-            &self.payload_scratch,
+            bit_len,
+            answer,
         );
     }
 

@@ -17,9 +17,10 @@
 //! * [`sender`] — [`sender::DgramClient`], the client: splits a message
 //!   into independently-sealed chunks, one datagram each, and
 //!   reassembles replies under a deadline, reporting losses explicitly.
-//! * `socket` (private) — the server-side driver thread, wired into the
-//!   same `Shared` registry/[`mhhea::gateway::StreamMux`] the TCP
-//!   reactors serve.
+//! * `socket` (private) — the server side: the UDP socket and its attach
+//!   table, drained by reactor 0 in its tick, so datagram chunks ride the
+//!   same [`mhhea::gateway::StreamMux::submit_batch`] and shared registry
+//!   the TCP connections do.
 //!
 //! # Division of labour with TCP
 //!

@@ -36,6 +36,7 @@
 //! [`ErrorCode::StaleEpoch`] — so a rejected frame never desynchronises
 //! the stream.
 
+use bitkit::{le_u16, le_u32, le_u64};
 use mhhea::{Algorithm, Profile};
 
 use crate::crc::crc32_parts;
@@ -368,65 +369,45 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
         Some(&v) if v != VERSION => return Err(FrameError::UnsupportedVersion(v)),
         _ => {}
     }
-    if buf.len() < HEADER_LEN {
+    // The CRC field ends the header, so once it reads, every field does.
+    let (Some(&kind_byte), Some(&flags), Some(stream), Some(seq), Some(payload_len), Some(carried)) = (
+        buf.get(5),
+        buf.get(6),
+        le_u64(buf, 8),
+        le_u64(buf, 16),
+        le_u32(buf, 24),
+        le_u32(buf, 28),
+    ) else {
         return Ok(None);
-    }
-    let kind_byte = le_u8(buf, 5);
+    };
     let kind = FrameKind::from_u8(kind_byte).ok_or(FrameError::UnknownKind(kind_byte))?;
-    let payload_len = le_u32(buf, 24);
     if payload_len as usize > MAX_PAYLOAD {
         return Err(FrameError::Oversized {
             declared: u64::from(payload_len),
         });
     }
     let total = HEADER_LEN + payload_len as usize;
-    let Some(payload) = buf.get(HEADER_LEN..total) else {
+    let (Some(head), Some(payload)) = (buf.get(..28), buf.get(HEADER_LEN..total)) else {
         return Ok(None);
     };
-    let carried = le_u32(buf, 28);
-    // lint: allow(panic-path, reason = "28 < HEADER_LEN and buf.len() >= HEADER_LEN was checked above")
-    let computed = crc32_parts(&[&buf[..28], payload]);
+    let computed = crc32_parts(&[head, payload]);
     if carried != computed {
         return Err(FrameError::BadCrc { carried, computed });
     }
     let frame = Frame {
         kind,
-        flags: le_u8(buf, 6),
-        stream: le_u64(buf, 8),
-        seq: le_u64(buf, 16),
+        flags,
+        stream,
+        seq,
         payload: payload.to_vec(),
     };
     Ok(Some((frame, total)))
 }
 
-// The fixed-width field readers below centralise the "slice then convert"
-// step every decoder needs. Each call site has already length-checked its
-// buffer; keeping the conversion here gives the panic-path lint one
-// audited proof site per width instead of one annotation per field.
-
-/// Reads the byte at `bytes[at]`; the caller has bounds-checked `at`.
-// lint: allow(panic-path, reason = "callers bounds-check `at` against the buffer length; single audited site for header byte reads")
-fn le_u8(bytes: &[u8], at: usize) -> u8 {
-    bytes[at]
-}
-
-/// Reads the little-endian `u16` at `bytes[at..at + 2]` (caller-checked).
-// lint: allow(panic-path, reason = "callers bounds-check `at + 2 <= len`; single audited site for 2-byte field reads")
-fn le_u16(bytes: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes(bytes[at..at + 2].try_into().expect("2-byte slice"))
-}
-
-/// Reads the little-endian `u32` at `bytes[at..at + 4]` (caller-checked).
-// lint: allow(panic-path, reason = "callers bounds-check `at + 4 <= len`; single audited site for 4-byte field reads")
-fn le_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
-}
-
-/// Reads the little-endian `u64` at `bytes[at..at + 8]` (caller-checked).
-// lint: allow(panic-path, reason = "callers bounds-check `at + 8 <= len`; single audited site for 8-byte field reads")
-fn le_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
-}
+/// A handshake naming an [`Algorithm::tag`] or [`Profile::tag`] byte
+/// that does not exist (the same bytes the MHKX transcript binds).
+const UNKNOWN_ALGORITHM: FrameError = FrameError::BadPayload("unknown algorithm tag");
+const UNKNOWN_PROFILE: FrameError = FrameError::BadPayload("unknown profile tag");
 
 /// The [`FrameKind::Hello`] payload: which key (by id, out of the
 /// server's keyring), which LFSR seed, and which cipher variant/profile
@@ -477,14 +458,8 @@ impl Hello {
         let mut out = Vec::with_capacity(Hello::ENCODED_LEN);
         out.extend_from_slice(&self.key_id.to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
-        out.push(match self.algorithm {
-            Algorithm::Hhea => 0,
-            Algorithm::Mhhea => 1,
-        });
-        out.push(match self.profile {
-            Profile::Streaming => 0,
-            Profile::HardwareFaithful => 1,
-        });
+        out.push(self.algorithm.tag());
+        out.push(self.profile.tag());
         out
     }
 
@@ -494,24 +469,20 @@ impl Hello {
     ///
     /// [`FrameError::BadPayload`] on wrong length or unknown tags.
     pub fn decode(payload: &[u8]) -> Result<Hello, FrameError> {
-        if payload.len() != Hello::ENCODED_LEN {
+        let (Hello::ENCODED_LEN, Some(key_id), Some(seed), Some(&algorithm), Some(&profile)) = (
+            payload.len(),
+            le_u32(payload, 0),
+            le_u16(payload, 4),
+            payload.get(6),
+            payload.get(7),
+        ) else {
             return Err(FrameError::BadPayload("hello payload must be 8 bytes"));
-        }
-        let algorithm = match payload.get(6) {
-            Some(&0) => Algorithm::Hhea,
-            Some(&1) => Algorithm::Mhhea,
-            _ => return Err(FrameError::BadPayload("unknown algorithm tag")),
-        };
-        let profile = match payload.get(7) {
-            Some(&0) => Profile::Streaming,
-            Some(&1) => Profile::HardwareFaithful,
-            _ => return Err(FrameError::BadPayload("unknown profile tag")),
         };
         Ok(Hello {
-            key_id: le_u32(payload, 0),
-            seed: le_u16(payload, 4),
-            algorithm,
-            profile,
+            key_id,
+            seed,
+            algorithm: Algorithm::from_tag(algorithm).ok_or(UNKNOWN_ALGORITHM)?,
+            profile: Profile::from_tag(profile).ok_or(UNKNOWN_PROFILE)?,
         })
     }
 }
@@ -535,15 +506,19 @@ pub fn encode_blocks(bit_len: u32, blocks: &[u16]) -> Vec<u8> {
 /// [`FrameError::BadPayload`] when the payload is shorter than the length
 /// prefix or the block bytes are odd.
 pub fn decode_blocks(payload: &[u8]) -> Result<(u32, Vec<u16>), FrameError> {
-    if payload.len() < 4 {
+    let (Some(bit_len), Some(body)) = (le_u32(payload, 0), payload.get(4..)) else {
         return Err(FrameError::BadPayload("blocks payload shorter than prefix"));
-    }
-    let bit_len = le_u32(payload, 0);
-    let body = &payload[4..]; // lint: allow(panic-path, reason = "payload.len() >= 4 was checked above")
+    };
     if !body.len().is_multiple_of(2) {
         return Err(FrameError::BadPayload("odd number of block bytes"));
     }
-    let blocks = body.chunks_exact(2).map(|c| le_u16(c, 0)).collect();
+    // Every chunk holds two bytes, so the default never applies; `map`
+    // (unlike `filter_map`) keeps the exact length, and the loop
+    // vectorises.
+    let blocks = body
+        .chunks_exact(2)
+        .map(|c| le_u16(c, 0).unwrap_or_default())
+        .collect();
     Ok((bit_len, blocks))
 }
 
@@ -687,12 +662,21 @@ pub fn encode_rekey_ack(epoch: u32, token: u64) -> Vec<u8> {
 ///
 /// [`FrameError::BadPayload`] unless the payload is exactly 12 bytes.
 pub fn decode_rekey_ack(payload: &[u8]) -> Result<(u32, u64), FrameError> {
-    if payload.len() != 12 {
-        return Err(FrameError::BadPayload(
+    match (payload.len(), le_u32(payload, 0), le_u64(payload, 4)) {
+        (12, Some(epoch), Some(token)) => Ok((epoch, token)),
+        _ => Err(FrameError::BadPayload(
             "rekey-ack payload must be epoch (4) + token (8)",
-        ));
+        )),
     }
-    Ok((le_u32(payload, 0), le_u64(payload, 4)))
+}
+
+/// Parses a bare resume-token payload (`Resume`, `DgramResume`, a fresh
+/// `HelloAck`): the token as u64 LE, or `None` unless exactly 8 bytes.
+pub(crate) fn decode_token(payload: &[u8]) -> Option<u64> {
+    match (payload.len(), le_u64(payload, 0)) {
+        (8, token) => token,
+        _ => None,
+    }
 }
 
 /// Encodes a *resumed* [`FrameKind::HelloAck`] payload: `resume token
@@ -711,35 +695,17 @@ pub fn encode_resumed_ack(token: u64, epoch: u32) -> Vec<u8> {
 ///
 /// [`FrameError::BadPayload`] unless the payload is exactly 12 bytes.
 pub fn decode_resumed_ack(payload: &[u8]) -> Result<(u64, u32), FrameError> {
-    if payload.len() != 12 {
-        return Err(FrameError::BadPayload(
+    match (payload.len(), le_u64(payload, 0), le_u32(payload, 8)) {
+        (12, Some(token), Some(epoch)) => Ok((token, epoch)),
+        _ => Err(FrameError::BadPayload(
             "resumed hello-ack payload must be token (8) + epoch (4)",
-        ));
+        )),
     }
-    Ok((le_u64(payload, 0), le_u32(payload, 8)))
 }
 
 /// Length of the MHKX key-confirmation tags (mirrors
 /// [`mhhea_kex::TAG_LEN`]).
 pub const KEX_TAG_LEN: usize = mhhea_kex::TAG_LEN;
-
-/// The wire tag for an [`Algorithm`] — also the byte bound into the MHKX
-/// transcript, so both sides must agree on the mapping.
-pub fn algorithm_wire_tag(algorithm: Algorithm) -> u8 {
-    match algorithm {
-        Algorithm::Hhea => 0,
-        Algorithm::Mhhea => 1,
-    }
-}
-
-/// The wire tag for a [`Profile`] — also the byte bound into the MHKX
-/// transcript, so both sides must agree on the mapping.
-pub fn profile_wire_tag(profile: Profile) -> u8 {
-    match profile {
-        Profile::Streaming => 0,
-        Profile::HardwareFaithful => 1,
-    }
-}
 
 /// Phase byte opening every `KeyEx`/`KeyExAck` payload: phase 1 carries
 /// public keys, phase 2 confirmation/completion.
@@ -808,8 +774,8 @@ impl KeyExInit {
         out.push(KEX_PHASE_INIT);
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&self.public_key);
-        out.push(algorithm_wire_tag(self.algorithm));
-        out.push(profile_wire_tag(self.profile));
+        out.push(self.algorithm.tag());
+        out.push(self.profile.tag());
         out
     }
 }
@@ -841,30 +807,29 @@ pub fn encode_key_ex_confirm(tag: &[u8; KEX_TAG_LEN]) -> Vec<u8> {
 pub fn decode_key_ex(payload: &[u8]) -> Result<KeyExPayload, FrameError> {
     match payload.split_first() {
         Some((&KEX_PHASE_INIT, body)) => {
-            if body.len() != KeyExInit::ENCODED_LEN - 1 {
+            let (
+                KeyExInit::ENCODED_LEN,
+                Some(epoch),
+                Some(public_key),
+                Some(&algorithm),
+                Some(&profile),
+            ) = (
+                payload.len(),
+                le_u32(body, 0),
+                body.get(4..36).and_then(|k| <[u8; 32]>::try_from(k).ok()),
+                body.get(36),
+                body.get(37),
+            )
+            else {
                 return Err(FrameError::BadPayload(
                     "key-ex init payload must be 39 bytes",
                 ));
-            }
-            // lint: allow(panic-path, reason = "body is exactly 38 bytes, checked above")
-            let algorithm = match body[36] {
-                0 => Algorithm::Hhea,
-                1 => Algorithm::Mhhea,
-                _ => return Err(FrameError::BadPayload("unknown algorithm tag")),
             };
-            // lint: allow(panic-path, reason = "body is exactly 38 bytes, checked above")
-            let profile = match body[37] {
-                0 => Profile::Streaming,
-                1 => Profile::HardwareFaithful,
-                _ => return Err(FrameError::BadPayload("unknown profile tag")),
-            };
-            let mut public_key = [0u8; 32];
-            public_key.copy_from_slice(&body[4..36]); // lint: allow(panic-path, reason = "body is exactly 38 bytes, checked above")
             Ok(KeyExPayload::Init(KeyExInit {
-                epoch: le_u32(body, 0),
+                epoch,
                 public_key,
-                algorithm,
-                profile,
+                algorithm: Algorithm::from_tag(algorithm).ok_or(UNKNOWN_ALGORITHM)?,
+                profile: Profile::from_tag(profile).ok_or(UNKNOWN_PROFILE)?,
             }))
         }
         Some((&KEX_PHASE_CONFIRM, body)) => {
@@ -922,25 +887,21 @@ pub fn encode_key_ex_ack_done(token: u64) -> Vec<u8> {
 pub fn decode_key_ex_ack(payload: &[u8]) -> Result<KeyExAckPayload, FrameError> {
     match payload.split_first() {
         Some((&KEX_PHASE_INIT, body)) => {
-            if body.len() != 32 + KEX_TAG_LEN {
+            let Some((public_key, tag)) = body
+                .split_first_chunk::<32>()
+                .and_then(|(key, tag)| Some((*key, tag.try_into().ok()?)))
+            else {
                 return Err(FrameError::BadPayload(
                     "key-ex-ack init payload must be pubkey (32) + tag (16)",
                 ));
-            }
-            let mut public_key = [0u8; 32];
-            public_key.copy_from_slice(&body[..32]); // lint: allow(panic-path, reason = "body is exactly 48 bytes, checked above")
-            let mut tag = [0u8; KEX_TAG_LEN];
-            tag.copy_from_slice(&body[32..]); // lint: allow(panic-path, reason = "body is exactly 48 bytes, checked above")
+            };
             Ok(KeyExAckPayload::Init { public_key, tag })
         }
-        Some((&KEX_PHASE_CONFIRM, body)) => {
-            let bytes: [u8; 8] = body
-                .try_into()
-                .map_err(|_| FrameError::BadPayload("key-ex-ack done token must be 8 bytes"))?;
-            Ok(KeyExAckPayload::Done {
-                token: u64::from_le_bytes(bytes),
-            })
-        }
+        Some((&KEX_PHASE_CONFIRM, body)) => decode_token(body)
+            .map(|token| KeyExAckPayload::Done { token })
+            .ok_or(FrameError::BadPayload(
+                "key-ex-ack done token must be 8 bytes",
+            )),
         Some(_) => Err(FrameError::BadPayload("unknown key-ex-ack phase byte")),
         None => Err(FrameError::BadPayload("empty key-ex-ack payload")),
     }

@@ -14,7 +14,8 @@
 //!   acceptor dealing sockets round-robin to `reactors` readiness loops
 //!   (`ServerConfig::reactors`, default 1). Each reactor owns a disjoint
 //!   set of connections and coalesces each tick's `Data` frames (both
-//!   directions, all of its connections) into one
+//!   directions, all of its connections — and, on reactor 0, the
+//!   datagram path's chunks) into one
 //!   [`mhhea::gateway::StreamMux::submit_batch`] call on the shared
 //!   worker pool; the per-connection state machine (parse, sequencing,
 //!   write-side backpressure) lives in a private transport-agnostic

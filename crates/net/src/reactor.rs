@@ -34,21 +34,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 use mhhea::gateway::{GatewayError, StreamConfig, StreamId, StreamMux, StreamOp, StreamOutput};
-use mhhea::{Key, KeyRing};
+use mhhea::{Algorithm, Key, KeyRing, Profile};
 use mhhea_kex::{derive_session, tags_equal, transcript, EphemeralSecret};
 
 use crate::conn::{
-    Conn, ControlAction, DataTicket, KexTable, PendingKex, ReplyShape, StreamTable, TickSink,
-    TicketOutcome, MAX_PENDING_KEX,
+    take_answer, Conn, ControlAction, DataTicket, KexTable, PendingKex, ReplyTo, StreamTable,
+    TickSink, MAX_PENDING_KEX,
 };
+use crate::dgram::socket::DgramPort;
 use crate::frame::{
-    algorithm_wire_tag, decode_key_ex, encode_error, encode_key_ex_ack_done,
-    encode_key_ex_ack_init, encode_resumed_ack, flags, join_seq, profile_wire_tag, split_seq,
-    ErrorCode, Frame, FrameKind, Hello, KeyExInit, KeyExPayload, KEX_TAG_LEN,
+    decode_key_ex, decode_token, encode_error, encode_key_ex_ack_done, encode_key_ex_ack_init,
+    encode_rekey_ack, encode_resumed_ack, flags, join_seq, split_seq, ErrorCode, Frame, FrameKind,
+    Hello, KeyExInit, KeyExPayload, KEX_TAG_LEN,
 };
 use crate::server::{ServerConfig, ServerStats};
 
 /// Cross-reactor stream bookkeeping, guarded by one mutex in [`Shared`].
+#[derive(Default)]
 pub(crate) struct Registry {
     /// stream id → parked `MHSS` snapshot, waiting for a `Resume` (from
     /// any connection on any reactor).
@@ -57,19 +59,46 @@ pub(crate) struct Registry {
     /// `Resume` must present the token its `HelloAck` handed out; stream
     /// ids are guessable, tokens are not.
     tokens: HashMap<u64, u64>,
+    /// Keyed-hash state and counter that resume tokens are minted from.
+    token_rand: RandomState,
     token_counter: u64,
 }
 
 impl Registry {
-    /// A fresh resume token: a keyed hash of a counter. Unpredictable to
-    /// peers (the SipHash key never leaves the process), collision-free
-    /// in practice, and free of any RNG dependency.
-    fn fresh_token(&mut self, rand: &RandomState) -> u64 {
-        let mut hasher = rand.build_hasher();
+    /// Mints `stream` a fresh resume token, retiring any older one: a
+    /// keyed hash of a counter. Unpredictable to peers (the SipHash key
+    /// never leaves the process), collision-free in practice, and free
+    /// of any RNG dependency.
+    fn mint(&mut self, stream: u64) -> u64 {
+        let mut hasher = self.token_rand.build_hasher();
         hasher.write_u64(self.token_counter);
         self.token_counter += 1;
-        hasher.finish()
+        let token = hasher.finish();
+        self.tokens.insert(stream, token);
+        token
     }
+}
+
+/// What [`Shared::unpark`] found for a stream id and resume token.
+pub(crate) enum Unpark {
+    /// No token is held for the id, or it is not this one.
+    BadToken,
+    /// The token matches but nothing is parked: the stream is live, or
+    /// being torn down.
+    NotParked,
+    /// The snapshot was restored; the stream runs this epoch.
+    Restored(u32),
+    /// The restore failed and the snapshot is parked again.
+    Failed(GatewayError),
+}
+
+/// The refusal a handshake names a parked id with.
+const PARKED: &str = "stream id parked awaiting resume (present its resume token)";
+
+/// An `Error` reply to a handshake on `stream` (handshake replies carry
+/// sequence 0).
+fn refuse(stream: u64, code: ErrorCode, detail: &str) -> Frame {
+    Frame::new(FrameKind::Error, stream, 0).with_payload(encode_error(code, detail))
 }
 
 /// Everything the reactors (and the acceptor) share. One instance per
@@ -79,10 +108,7 @@ pub(crate) struct Shared {
     pub(crate) mux: StreamMux,
     pub(crate) stats: Arc<ServerStats>,
     // lock-order: registry < mux_shard
-    pub(crate) registry: Mutex<Registry>,
-    /// Keyed-hash state for resume-token minting (shared so tokens stay
-    /// unique across reactors; the counter lives in the registry).
-    token_rand: RandomState,
+    registry: Mutex<Registry>,
 }
 
 impl Shared {
@@ -90,12 +116,7 @@ impl Shared {
         Shared {
             mux: StreamMux::with_shards(cfg.shards),
             stats,
-            registry: Mutex::new(Registry {
-                snapshots: HashMap::new(),
-                tokens: HashMap::new(),
-                token_counter: 0,
-            }),
-            token_rand: RandomState::new(),
+            registry: Mutex::default(),
             cfg,
         }
     }
@@ -119,10 +140,27 @@ impl Shared {
 
     /// Whether the registry still holds a resume token for `stream` —
     /// i.e. whether the stream can ever legally return (both TCP resume
-    /// and datagram attach require the token). The datagram driver uses
+    /// and datagram attach require the token). The datagram path uses
     /// this to decide when per-stream replay state is safe to drop.
     pub(crate) fn has_token(&self, stream: u64) -> bool {
         self.registry().tokens.contains_key(&stream)
+    }
+
+    /// Keeps only the entries of `map` whose stream still holds a resume
+    /// token, under one registry lock.
+    pub(crate) fn retain_tokened<V>(&self, map: &mut HashMap<u64, V>) {
+        let reg = self.registry();
+        map.retain(|stream, _| reg.tokens.contains_key(stream));
+    }
+
+    /// The bookkeeping after a rotation of `stream` to `epoch` took:
+    /// restarts its sequence space at `(epoch, 0)` and re-mints its resume
+    /// token (a snapshot thief must not outlive a rekey), which the ack
+    /// hands back.
+    fn rotated(&self, streams: &mut StreamTable, stream: u64, epoch: u32) -> u64 {
+        streams.insert(stream, join_seq(epoch, 0));
+        ServerStats::bump(&self.stats.streams_rekeyed);
+        self.registry().mint(stream)
     }
 
     /// Handshake and teardown frames, answered inline by the owning
@@ -134,120 +172,77 @@ impl Shared {
         frame: &Frame,
     ) -> ControlAction {
         let stream = frame.stream;
-        match frame.kind {
-            FrameKind::Hello => ControlAction {
-                reply: self.open_stream(streams, frame),
-                hang_up: false,
-            },
-            FrameKind::KeyEx => ControlAction {
-                reply: self.key_ex(streams, kex, frame),
-                hang_up: false,
-            },
-            FrameKind::Resume => ControlAction {
-                reply: self.resume_stream(streams, frame),
-                hang_up: false,
-            },
+        let reply = match frame.kind {
+            FrameKind::Hello => self.open_stream(streams, frame),
+            FrameKind::KeyEx => self.key_ex(streams, kex, frame),
+            FrameKind::Resume => self.resume_stream(streams, frame),
+            FrameKind::Bye if streams.remove(&stream).is_some() => {
+                let mut reg = self.registry();
+                let _ = self.mux.close(StreamId(stream));
+                reg.tokens.remove(&stream);
+                Frame::new(FrameKind::Bye, stream, frame.seq)
+            }
             FrameKind::Bye => {
-                let reply = if streams.remove(&stream).is_some() {
-                    let mut reg = self.registry();
-                    let _ = self.mux.close(StreamId(stream));
-                    reg.tokens.remove(&stream);
-                    Frame::new(FrameKind::Bye, stream, frame.seq)
-                } else {
-                    Frame::new(FrameKind::Error, stream, frame.seq).with_payload(encode_error(
-                        ErrorCode::UnknownStream,
-                        "bye for a stream this connection does not own",
-                    ))
+                Frame::new(FrameKind::Error, stream, frame.seq).with_payload(encode_error(
+                    ErrorCode::UnknownStream,
+                    "bye for a stream this connection does not own",
+                ))
+            }
+            other => {
+                let (stream, seq, detail) = match other {
+                    // Datagram-path kinds never travel over TCP: MHNP-D
+                    // shares the kind space for the analyzer's sake, not
+                    // the transport. A client mixing them into a stream
+                    // is confused or hostile.
+                    FrameKind::DgramResume
+                    | FrameKind::DgramAck
+                    | FrameKind::DgramData
+                    | FrameKind::DgramReply => (
+                        stream,
+                        frame.seq,
+                        "datagram-path frame kind on the stream transport",
+                    ),
+                    // `Data`/`Rekey` frames are routed through
+                    // `validate_data` before this point; landing here is
+                    // a dispatch bug. Answer it as a protocol error and
+                    // hang up instead of panicking the reactor thread
+                    // (debug builds still assert).
+                    FrameKind::Data | FrameKind::Rekey => {
+                        debug_assert!(false, "data and rekey frames go through validate_data");
+                        (stream, frame.seq, "data frame routed to control path")
+                    }
+                    // Server-emitted kinds arriving at the server are
+                    // protocol violations a conforming client never
+                    // produces.
+                    _ => (0, 0, "client sent a server-only frame kind"),
                 };
-                ControlAction {
-                    reply,
-                    hang_up: false,
-                }
-            }
-            // Server-emitted kinds arriving at the server are protocol
-            // violations a conforming client never produces.
-            FrameKind::HelloAck
-            | FrameKind::Reply
-            | FrameKind::Error
-            | FrameKind::RekeyAck
-            | FrameKind::KeyExAck => {
                 ServerStats::bump(&self.stats.protocol_errors);
-                ControlAction {
-                    reply: Frame::new(FrameKind::Error, 0, 0).with_payload(encode_error(
-                        ErrorCode::Protocol,
-                        "client sent a server-only frame kind",
-                    )),
+                let error = encode_error(ErrorCode::Protocol, detail);
+                return ControlAction {
+                    reply: Frame::new(FrameKind::Error, stream, seq).with_payload(error),
                     hang_up: true,
-                }
+                };
             }
-            // Datagram-path kinds never travel over TCP: MHNP-D shares
-            // the kind space for the analyzer's sake, not the transport.
-            // A client mixing them into a stream is confused or hostile.
-            FrameKind::DgramResume
-            | FrameKind::DgramAck
-            | FrameKind::DgramData
-            | FrameKind::DgramReply => {
-                ServerStats::bump(&self.stats.protocol_errors);
-                ControlAction {
-                    reply: Frame::new(FrameKind::Error, stream, frame.seq).with_payload(
-                        encode_error(
-                            ErrorCode::Protocol,
-                            "datagram-path frame kind on the stream transport",
-                        ),
-                    ),
-                    hang_up: true,
-                }
-            }
-            // `Data`/`Rekey` frames are routed through `validate_data`
-            // before this point; landing here is a dispatch bug. Answer it
-            // as a protocol error and hang up instead of panicking the
-            // reactor thread (debug builds still assert).
-            FrameKind::Data | FrameKind::Rekey => {
-                debug_assert!(false, "data and rekey frames go through validate_data");
-                ServerStats::bump(&self.stats.protocol_errors);
-                ControlAction {
-                    reply: Frame::new(FrameKind::Error, stream, frame.seq).with_payload(
-                        encode_error(ErrorCode::Protocol, "data frame routed to control path"),
-                    ),
-                    hang_up: true,
-                }
-            }
+        };
+        ControlAction {
+            reply,
+            hang_up: false,
         }
     }
 
     fn open_stream(&self, streams: &mut StreamTable, frame: &Frame) -> Frame {
         let stream = frame.stream;
-        let fail = |code: ErrorCode, detail: &str| {
-            Frame::new(FrameKind::Error, stream, 0).with_payload(encode_error(code, detail))
-        };
         let hello = match Hello::decode(&frame.payload) {
             Ok(h) => h,
-            Err(e) => return fail(ErrorCode::BadHandshake, &e.to_string()),
+            Err(e) => return refuse(stream, ErrorCode::BadHandshake, &e.to_string()),
         };
         let Some(epoch_keys) = self.cfg.keyring.get(&hello.key_id) else {
-            return fail(
+            return refuse(
+                stream,
                 ErrorCode::UnknownKeyId,
                 &format!("key id {} not in keyring", hello.key_id),
             );
         };
-        // The registry is held across the parked-check *and* the mux open
-        // so no other reactor can park or resume this id in between.
-        let mut reg = self.registry();
-        // A parked id is still occupied: letting an unauthenticated Hello
-        // supersede the snapshot would destroy another client's only copy
-        // of its stream state (the token check bypassed by destruction).
-        // Reclaim it with Resume + token, or discard it with Resume + Bye.
-        if reg.snapshots.contains_key(&stream) {
-            return fail(
-                ErrorCode::StreamExists,
-                "stream id parked awaiting resume (present its resume token)",
-            );
-        }
-        // Streams are the one per-client allocation a handshake loop could
-        // otherwise grow without bound.
-        if self.mux.len() >= self.cfg.max_streams {
-            return fail(ErrorCode::ServerBusy, "server at stream capacity");
-        }
         // Every served stream gets a ring of the id's epoch keys with the
         // handshake seed as master, so `Rekey` works out of the box. Each
         // epoch reseeds the LFSR via the chunk_seed derivation; whether a
@@ -255,27 +250,69 @@ impl Shared {
         // configured (ServerConfig::with_epoch_keys vs a single key).
         // Epoch 0 runs the handshake seed itself, so a stream that never
         // rekeys seals exactly as it did before epochs existed.
-        let ring = match KeyRing::new(epoch_keys.clone(), hello.seed) {
-            Ok(ring) => ring,
-            Err(e) => return fail(ErrorCode::BadHandshake, &e.to_string()),
+        let ring = || {
+            KeyRing::new(epoch_keys.clone(), hello.seed)
+                .map_err(|e| refuse(stream, ErrorCode::BadHandshake, &e.to_string()))
         };
+        match self.admit(streams, stream, hello.algorithm, hello.profile, ring) {
+            Ok(token) => Frame::new(FrameKind::HelloAck, stream, 0)
+                .with_payload(token.to_le_bytes().to_vec()),
+            Err(reply) => reply,
+        }
+    }
+
+    /// Refuses a handshake for a parked id (letting an unauthenticated
+    /// handshake supersede the snapshot would destroy another client's
+    /// only copy of its stream state) or on a server at stream capacity
+    /// (streams are the one per-client allocation a handshake loop could
+    /// grow without bound).
+    fn check_admissible(&self, reg: &Registry, stream: u64) -> Result<(), Frame> {
+        if reg.snapshots.contains_key(&stream) {
+            return Err(refuse(stream, ErrorCode::StreamExists, PARKED));
+        }
+        if self.mux.len() >= self.cfg.max_streams {
+            return Err(refuse(
+                stream,
+                ErrorCode::ServerBusy,
+                "server at stream capacity",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Opens `stream` for a handshake and gives it to the connection:
+    /// checks it is admissible, and only then builds the ring, opens the
+    /// stream in the mux and mints its resume token. The registry is held
+    /// throughout, so no other reactor can park or resume the id in
+    /// between. Returns the token, or the `Error` reply.
+    fn admit(
+        &self,
+        streams: &mut StreamTable,
+        stream: u64,
+        algorithm: Algorithm,
+        profile: Profile,
+        ring: impl FnOnce() -> Result<KeyRing, Frame>,
+    ) -> Result<u64, Frame> {
+        let mut reg = self.registry();
+        self.check_admissible(&reg, stream)?;
+        let ring = ring()?;
         let config = StreamConfig::new(ring.key(0).clone())
-            .with_algorithm(hello.algorithm)
-            .with_profile(hello.profile)
+            .with_algorithm(algorithm)
+            .with_profile(profile)
             .with_ring(ring);
         match self.mux.open(StreamId(stream), config) {
             Ok(()) => {
-                let token = reg.fresh_token(&self.token_rand);
-                reg.tokens.insert(stream, token);
+                let token = reg.mint(stream);
                 streams.insert(stream, 0);
                 ServerStats::bump(&self.stats.streams_opened);
-                Frame::new(FrameKind::HelloAck, stream, 0)
-                    .with_payload(token.to_le_bytes().to_vec())
+                Ok(token)
             }
-            Err(GatewayError::StreamExists(_)) => {
-                fail(ErrorCode::StreamExists, "stream id already open")
-            }
-            Err(e) => fail(ErrorCode::BadHandshake, &e.to_string()),
+            Err(GatewayError::StreamExists(_)) => Err(refuse(
+                stream,
+                ErrorCode::StreamExists,
+                "stream id already open",
+            )),
+            Err(e) => Err(refuse(stream, ErrorCode::BadHandshake, &e.to_string())),
         }
     }
 
@@ -284,11 +321,9 @@ impl Shared {
     /// nothing in the exchange is connection-fatal.
     fn key_ex(&self, streams: &mut StreamTable, kex: &mut KexTable, frame: &Frame) -> Frame {
         let stream = frame.stream;
-        let fail = |code: ErrorCode, detail: &str| {
-            Frame::new(FrameKind::Error, stream, 0).with_payload(encode_error(code, detail))
-        };
         if !self.cfg.ephemeral {
-            return fail(
+            return refuse(
+                stream,
                 ErrorCode::BadHandshake,
                 "ephemeral key agreement is not enabled on this server",
             );
@@ -296,7 +331,7 @@ impl Shared {
         match decode_key_ex(&frame.payload) {
             Ok(KeyExPayload::Init(init)) => self.key_ex_init(streams, kex, stream, init),
             Ok(KeyExPayload::Confirm(tag)) => self.key_ex_confirm(streams, kex, stream, &tag),
-            Err(e) => fail(ErrorCode::BadHandshake, &e.to_string()),
+            Err(e) => refuse(stream, ErrorCode::BadHandshake, &e.to_string()),
         }
     }
 
@@ -312,35 +347,28 @@ impl Shared {
         stream: u64,
         init: KeyExInit,
     ) -> Frame {
-        let fail = |code: ErrorCode, detail: &str| {
-            Frame::new(FrameKind::Error, stream, 0).with_payload(encode_error(code, detail))
-        };
         // Pre-checks mirror the Hello/Rekey paths so a handshake doomed to
         // fail in phase 2 is refused before any derivation work. They are
         // re-checked at phase 2 — the world can change in between.
         if init.epoch == 0 {
             if streams.contains_key(&stream) {
-                return fail(ErrorCode::StreamExists, "stream id already open");
+                return refuse(stream, ErrorCode::StreamExists, "stream id already open");
             }
-            if self.registry().snapshots.contains_key(&stream) {
-                return fail(
-                    ErrorCode::StreamExists,
-                    "stream id parked awaiting resume (present its resume token)",
-                );
-            }
-            if self.mux.len() >= self.cfg.max_streams {
-                return fail(ErrorCode::ServerBusy, "server at stream capacity");
+            if let Err(reply) = self.check_admissible(&self.registry(), stream) {
+                return reply;
             }
         } else {
             let Some(&expected) = streams.get(&stream) else {
-                return fail(
+                return refuse(
+                    stream,
                     ErrorCode::UnknownStream,
                     "key-ex rekey targets a stream this connection does not own",
                 );
             };
             let (current, _) = split_seq(expected);
             if init.epoch <= current {
-                return fail(
+                return refuse(
+                    stream,
                     ErrorCode::StaleEpoch,
                     &format!("epoch {} is not newer than current {current}", init.epoch),
                 );
@@ -349,7 +377,8 @@ impl Shared {
         // A retry for the same stream replaces its pending entry; only
         // exchanges on *distinct* streams count against the cap.
         if kex.len() >= MAX_PENDING_KEX && !kex.contains_key(&stream) {
-            return fail(
+            return refuse(
+                stream,
                 ErrorCode::ServerBusy,
                 "too many key exchanges in flight on this connection",
             );
@@ -358,7 +387,8 @@ impl Shared {
         let server_pub = secret.public_key();
         let Ok(shared) = secret.diffie_hellman(&init.public_key) else {
             ServerStats::bump(&self.stats.kex_rejected);
-            return fail(
+            return refuse(
+                stream,
                 ErrorCode::KeyConfirmFailed,
                 "client public key is a low-order point",
             );
@@ -366,8 +396,8 @@ impl Shared {
         let t = transcript(
             stream,
             init.epoch,
-            algorithm_wire_tag(init.algorithm),
-            profile_wire_tag(init.profile),
+            init.algorithm.tag(),
+            init.profile.tag(),
             &init.public_key,
             &server_pub,
         );
@@ -398,18 +428,17 @@ impl Shared {
         stream: u64,
         tag: &[u8; KEX_TAG_LEN],
     ) -> Frame {
-        let fail = |code: ErrorCode, detail: &str| {
-            Frame::new(FrameKind::Error, stream, 0).with_payload(encode_error(code, detail))
-        };
         let Some(pending) = kex.remove(&stream) else {
-            return fail(
+            return refuse(
+                stream,
                 ErrorCode::BadHandshake,
                 "no key exchange in flight on this stream",
             );
         };
         if !tags_equal(tag, &pending.expected_tag) {
             ServerStats::bump(&self.stats.kex_rejected);
-            return fail(
+            return refuse(
+                stream,
                 ErrorCode::KeyConfirmFailed,
                 "key-confirmation tag mismatch; no session was created",
             );
@@ -418,48 +447,22 @@ impl Shared {
             Ok(key) => key,
             // Unreachable for KDF output (16 bytes always pack), kept
             // total for the serving path.
-            Err(e) => return fail(ErrorCode::Engine, &e.to_string()),
+            Err(e) => return refuse(stream, ErrorCode::Engine, &e.to_string()),
         };
-        if pending.epoch == 0 {
-            // Same atomicity as open_stream: registry held across the
-            // parked-check and the mux open.
-            let mut reg = self.registry();
-            if reg.snapshots.contains_key(&stream) {
-                return fail(
-                    ErrorCode::StreamExists,
-                    "stream id parked awaiting resume (present its resume token)",
-                );
-            }
-            if self.mux.len() >= self.cfg.max_streams {
-                return fail(ErrorCode::ServerBusy, "server at stream capacity");
-            }
-            let ring = match KeyRing::single(key, pending.seed) {
-                Ok(ring) => ring,
-                // Unreachable: the KDF never derives a zero seed.
-                Err(e) => return fail(ErrorCode::Engine, &e.to_string()),
+        let token = if pending.epoch == 0 {
+            // Unreachable failure: the KDF never derives a zero seed.
+            let ring = || {
+                KeyRing::single(key, pending.seed)
+                    .map_err(|e| refuse(stream, ErrorCode::Engine, &e.to_string()))
             };
-            let config = StreamConfig::new(ring.key(0).clone())
-                .with_algorithm(pending.algorithm)
-                .with_profile(pending.profile)
-                .with_ring(ring);
-            match self.mux.open(StreamId(stream), config) {
-                Ok(()) => {
-                    let token = reg.fresh_token(&self.token_rand);
-                    reg.tokens.insert(stream, token);
-                    streams.insert(stream, 0);
-                    ServerStats::bump(&self.stats.streams_opened);
-                    ServerStats::bump(&self.stats.kex_completed);
-                    Frame::new(FrameKind::KeyExAck, stream, 0)
-                        .with_payload(encode_key_ex_ack_done(token))
-                }
-                Err(GatewayError::StreamExists(_)) => {
-                    fail(ErrorCode::StreamExists, "stream id already open")
-                }
-                Err(e) => fail(ErrorCode::BadHandshake, &e.to_string()),
+            match self.admit(streams, stream, pending.algorithm, pending.profile, ring) {
+                Ok(token) => token,
+                Err(reply) => return reply,
             }
         } else {
             if !streams.contains_key(&stream) {
-                return fail(
+                return refuse(
+                    stream,
                     ErrorCode::UnknownStream,
                     "key-ex rekey targets a stream this connection does not own",
                 );
@@ -468,159 +471,107 @@ impl Shared {
                 .mux
                 .rekey_with(StreamId(stream), pending.epoch, key, pending.seed)
             {
-                Ok(epoch) => {
-                    // Same post-rotation bookkeeping as the RekeyAck path:
-                    // retire the old resume token, restart the sequence
-                    // space at (new epoch, counter 0).
-                    let token = {
-                        let mut reg = self.registry();
-                        let token = reg.fresh_token(&self.token_rand);
-                        reg.tokens.insert(stream, token);
-                        token
-                    };
-                    streams.insert(stream, join_seq(epoch, 0));
-                    ServerStats::bump(&self.stats.streams_rekeyed);
-                    ServerStats::bump(&self.stats.kex_completed);
-                    Frame::new(FrameKind::KeyExAck, stream, 0)
-                        .with_payload(encode_key_ex_ack_done(token))
+                Ok(epoch) => self.rotated(streams, stream, epoch),
+                Err(GatewayError::StaleEpoch { current, requested }) => {
+                    return refuse(
+                        stream,
+                        ErrorCode::StaleEpoch,
+                        &format!("epoch {requested} is not newer than current {current}"),
+                    );
                 }
-                Err(GatewayError::StaleEpoch { current, requested }) => fail(
-                    ErrorCode::StaleEpoch,
-                    &format!("epoch {requested} is not newer than current {current}"),
-                ),
-                Err(e) => fail(ErrorCode::Engine, &e.to_string()),
+                Err(e) => return refuse(stream, ErrorCode::Engine, &e.to_string()),
             }
-        }
+        };
+        ServerStats::bump(&self.stats.kex_completed);
+        Frame::new(FrameKind::KeyExAck, stream, 0).with_payload(encode_key_ex_ack_done(token))
     }
 
     fn resume_stream(&self, streams: &mut StreamTable, frame: &Frame) -> Frame {
         let stream = frame.stream;
-        let fail = |code: ErrorCode, detail: &str| {
-            Frame::new(FrameKind::Error, stream, 0).with_payload(encode_error(code, detail))
-        };
-        let Ok(token_bytes) = <[u8; 8]>::try_from(frame.payload.as_slice()) else {
-            return fail(
+        let Some(token) = decode_token(&frame.payload) else {
+            return refuse(
+                stream,
                 ErrorCode::BadHandshake,
                 "resume payload must be the 8-byte resume token",
             );
         };
-        let token = u64::from_le_bytes(token_bytes);
-        // Held across the restore, so the un-parked snapshot is never
-        // observable as "neither parked nor live" by another reactor.
-        let mut reg = self.registry();
-        // One uniform answer for "no snapshot" and "wrong token": probing
-        // ids must not reveal which streams are parked. (A resume racing
-        // the eviction that parks the snapshot also lands here — clients
-        // retry; the eviction is asynchronous by design.)
-        if reg.tokens.get(&stream) != Some(&token) {
-            return fail(ErrorCode::NoSnapshot, "no snapshot parked for this stream");
-        }
-        let Some(snapshot) = reg.snapshots.remove(&stream) else {
-            return fail(ErrorCode::NoSnapshot, "no snapshot parked for this stream");
-        };
-        match self.mux.restore(&snapshot) {
-            Ok(id) => {
-                debug_assert_eq!(id.0, stream, "snapshot carries its own id");
+        match self.unpark(stream, token) {
+            Unpark::Restored(epoch) => {
                 // The snapshot carries the key epoch; the new session's
                 // sequence space starts at counter 0 *in that epoch*, and
                 // the ack tells the client which epoch that is.
-                let epoch = self.mux.epoch(id).unwrap_or(0);
                 streams.insert(stream, join_seq(epoch, 0));
-                ServerStats::bump(&self.stats.streams_resumed);
                 Frame::new(FrameKind::HelloAck, stream, 0)
                     .with_flags(flags::RESUMED)
                     .with_payload(encode_resumed_ack(token, epoch))
             }
-            Err(e) => {
-                // Park it again: the snapshot is still the only copy of
-                // the stream's state.
-                reg.snapshots.insert(stream, snapshot);
-                match e {
-                    GatewayError::StreamExists(_) => {
-                        fail(ErrorCode::StreamExists, "stream id already open")
-                    }
-                    other => fail(ErrorCode::Engine, &other.to_string()),
-                }
+            // One uniform answer for "no snapshot" and "wrong token":
+            // probing ids must not reveal which streams are parked. (A
+            // resume racing the eviction that parks the snapshot also
+            // lands here — clients retry; the eviction is asynchronous by
+            // design.)
+            Unpark::BadToken | Unpark::NotParked => refuse(
+                stream,
+                ErrorCode::NoSnapshot,
+                "no snapshot parked for this stream",
+            ),
+            Unpark::Failed(GatewayError::StreamExists(_)) => {
+                refuse(stream, ErrorCode::StreamExists, "stream id already open")
             }
+            Unpark::Failed(e) => refuse(stream, ErrorCode::Engine, &e.to_string()),
         }
     }
 
-    /// Attaches a stream to the datagram path by resume token: the
-    /// MHNP-D side of [`Shared::resume_stream`], called by the datagram
-    /// driver for a `DgramResume` packet. Returns the stream's current
-    /// key epoch on success, `None` on any refusal — the driver drops
-    /// refusals silently (anti-amplification; see the dgram module
-    /// docs), so there is no error to distinguish.
-    ///
-    /// Two shapes succeed, and the caller cannot tell which happened
-    /// (that is the point — attach must be idempotent under packet
-    /// duplication and retry):
-    ///
-    /// * the stream is **parked** (its TCP connection died and evicted
-    ///   it): the snapshot is restored into the mux exactly as a TCP
-    ///   `Resume` would, re-parked on restore failure;
-    /// * the stream is **live** in the mux (its TCP connection is still
-    ///   up, or a previous attach already restored it): it is attached in
-    ///   place — no state moves, so a duplicated `DgramResume` is
-    ///   harmless.
-    ///
-    /// Wrong token, unknown stream, and token-known-but-stream-gone all
-    /// get the same uniform non-answer, mirroring the TCP resume path's
-    /// refusal to let probers map which ids exist.
-    pub(crate) fn dgram_attach(&self, stream: u64, token: u64) -> Option<u32> {
-        // Held across the parked-check and the restore, same as TCP
-        // resume: the snapshot must never be observable as "neither
-        // parked nor live" by a racing reactor.
+    /// Checks `token` against `stream`'s resume token and restores its
+    /// parked snapshot into the mux. The registry is held across the
+    /// restore, so the snapshot is never observable as "neither parked
+    /// nor live" by another reactor; a failed restore parks it again, as
+    /// it is still the only copy of the stream's state.
+    pub(crate) fn unpark(&self, stream: u64, token: u64) -> Unpark {
         let mut reg = self.registry();
         if reg.tokens.get(&stream) != Some(&token) {
-            return None;
+            return Unpark::BadToken;
         }
-        if let Some(snapshot) = reg.snapshots.remove(&stream) {
-            match self.mux.restore(&snapshot) {
-                Ok(id) => {
-                    debug_assert_eq!(id.0, stream, "snapshot carries its own id");
-                    ServerStats::bump(&self.stats.streams_resumed);
-                    Some(self.mux.epoch(id).unwrap_or(0))
-                }
-                Err(e) => {
-                    // Park it again: the snapshot is still the only copy
-                    // of the stream's state.
-                    reg.snapshots.insert(stream, snapshot);
-                    match e {
-                        GatewayError::StreamExists(_) => {
-                            // The id came back to life between the parked
-                            // check and the restore (a TCP resume raced
-                            // us). It is live now — attach in place.
-                            Some(self.mux.epoch(StreamId(stream)).unwrap_or(0))
-                        }
-                        _ => None,
-                    }
-                }
+        let Some(snapshot) = reg.snapshots.remove(&stream) else {
+            return Unpark::NotParked;
+        };
+        match self.mux.restore(&snapshot) {
+            Ok(id) => {
+                debug_assert_eq!(id.0, stream, "snapshot carries its own id");
+                ServerStats::bump(&self.stats.streams_resumed);
+                Unpark::Restored(self.mux.epoch(id).unwrap_or(0))
             }
-        } else {
-            // Token known but the stream may be neither parked nor live
-            // (a teardown race): uniform non-answer, client retries.
-            self.mux.epoch(StreamId(stream)).ok()
+            Err(e) => {
+                reg.snapshots.insert(stream, snapshot);
+                Unpark::Failed(e)
+            }
         }
     }
 }
 
 /// One readiness loop over a disjoint set of connections. The acceptor
-/// feeds it sockets over `intake`; everything else it owns.
+/// feeds it sockets over `intake`; everything else it owns — reactor 0
+/// also owns the MHNP-D socket, when the datagram path is on.
 pub(crate) struct Reactor {
     shared: Arc<Shared>,
     intake: mpsc::Receiver<TcpStream>,
     conns: Vec<Conn<TcpStream>>,
+    dgram: Option<DgramPort>,
     /// Scratch for socket reads, allocated once per reactor.
     scratch: Vec<u8>,
 }
 
 impl Reactor {
-    pub(crate) fn new(shared: Arc<Shared>, intake: mpsc::Receiver<TcpStream>) -> Reactor {
+    pub(crate) fn new(
+        shared: Arc<Shared>,
+        intake: mpsc::Receiver<TcpStream>,
+        dgram: Option<DgramPort>,
+    ) -> Reactor {
         Reactor {
             shared,
             intake,
             conns: Vec::new(),
+            dgram,
             scratch: vec![0; 64 << 10],
         }
     }
@@ -635,7 +586,7 @@ impl Reactor {
     }
 
     /// One intake-drain plus one tick. Returns whether anything happened
-    /// (socket adopted, bytes moved, frames handled).
+    /// (socket adopted, bytes or datagrams moved, frames handled).
     pub(crate) fn step(&mut self) -> bool {
         let mut progress = false;
         while let Ok(sock) = self.intake.try_recv() {
@@ -645,14 +596,17 @@ impl Reactor {
         progress | self.tick()
     }
 
-    /// One pass over this reactor's connections. Reads and parses every
-    /// connection, funnelling its `Data`/`Rekey` frames into **one**
-    /// [`StreamMux::submit_batch`] for the whole reactor tick, then
-    /// frames results back in per-connection request order and flushes.
+    /// One pass over this reactor's connections and its datagram socket.
+    /// Reads and parses every connection, then drains the socket,
+    /// funnelling `Data`/`Rekey` frames and datagram chunks into **one**
+    /// [`StreamMux::submit_batch`] for the whole reactor tick; then
+    /// answers every request in order — into its connection's write
+    /// buffer, or straight back to its datagram peer — and flushes.
     fn tick(&mut self) -> bool {
         let Reactor {
             shared,
             conns,
+            dgram,
             scratch,
             intake: _,
         } = self;
@@ -683,14 +637,17 @@ impl Reactor {
                 progress |= conn.read_tick(scratch, cfg.read_budget, cfg.write_buf_limit);
                 progress |= conn.parse_tick(idx, &mut sink, &mut control);
             }
+            if let Some(port) = dgram.as_mut() {
+                progress |= port.drain_tick(shared, scratch, cfg.read_budget, &mut sink);
+            }
         }
 
         // The tick's entire crypto workload: one submission, one pool job
         // per busy shard, per-stream errors confined to their slots. (A
-        // tick can hold tickets but no batch when every frame was
+        // tick can hold tickets but no batch when every request was
         // rejected before touching cipher state.)
         if !tickets.is_empty() {
-            // Results are taken (moved) into their reply frames — block
+            // Results are taken (moved) into their replies — block
             // vectors are several times the plaintext size, so cloning
             // them here would dominate the reply path.
             let mut results: Vec<Option<Result<StreamOutput, GatewayError>>> = if batch.is_empty() {
@@ -703,79 +660,41 @@ impl Reactor {
                     .map(Some)
                     .collect()
             };
-            for ticket in tickets {
+            for DataTicket {
+                to,
+                stream,
+                seq,
+                bit_len,
+                slot,
+            } in tickets
+            {
+                let answer = take_answer(slot, &mut results);
+                let idx = match to {
+                    ReplyTo::Conn(idx) => idx,
+                    ReplyTo::Peer(peer) => {
+                        // Only reactor 0 queues datagram tickets, and it
+                        // owns the socket.
+                        if let Some(port) = dgram.as_mut() {
+                            port.answer(&shared.stats, peer, stream, seq, bit_len, &answer);
+                        }
+                        continue;
+                    }
+                };
                 // Tickets are minted with this tick's enumerate index, so
                 // the lookup cannot miss; `get_mut` keeps a bookkeeping bug
                 // from panicking the whole reactor.
-                let Some(conn) = conns.get_mut(ticket.conn) else {
+                let Some(conn) = conns.get_mut(idx) else {
                     debug_assert!(false, "ticket for a connection this tick never saw");
                     continue;
                 };
-                match ticket.outcome {
-                    TicketOutcome::Submitted { index, shape } => {
-                        // Each submitted ticket owns exactly one result
-                        // slot; a missing or already-taken slot is a
-                        // bookkeeping bug, surfaced to the client as an
-                        // engine error rather than a reactor panic.
-                        let Some(result) = results.get_mut(index).and_then(Option::take) else {
-                            debug_assert!(false, "each slot consumed once");
-                            conn.push_error(
-                                ticket.stream,
-                                ticket.seq,
-                                ErrorCode::Engine,
-                                "internal: batch result slot missing",
-                            );
-                            ServerStats::bump(&shared.stats.frames_sent);
-                            continue;
-                        };
-                        match (result, shape) {
-                            (Ok(StreamOutput::Blocks(blocks)), ReplyShape::Seal { bit_len }) => {
-                                conn.push_seal_reply(ticket.stream, ticket.seq, bit_len, &blocks);
-                            }
-                            (Ok(StreamOutput::Plain(plain)), ReplyShape::Open) => {
-                                conn.push_open_reply(ticket.stream, ticket.seq, &plain);
-                            }
-                            (Ok(StreamOutput::Rekeyed { epoch }), ReplyShape::Rekey) => {
-                                // The rotation took: retire the old resume
-                                // token (a snapshot thief must not outlive a
-                                // rekey), restart the sequence space in the
-                                // new epoch, and hand both back in the ack.
-                                let token = {
-                                    let mut reg = shared.registry();
-                                    let token = reg.fresh_token(&shared.token_rand);
-                                    reg.tokens.insert(ticket.stream, token);
-                                    token
-                                };
-                                conn.streams.insert(ticket.stream, join_seq(epoch, 0));
-                                ServerStats::bump(&shared.stats.streams_rekeyed);
-                                conn.push_rekey_ack(ticket.stream, ticket.seq, epoch, token);
-                            }
-                            (Ok(_), _) => {
-                                // The gateway answered a seal with plaintext
-                                // (or vice versa) — an engine bug, not a
-                                // client error, and not worth a thread.
-                                debug_assert!(false, "op direction matches output variant");
-                                conn.push_error(
-                                    ticket.stream,
-                                    ticket.seq,
-                                    ErrorCode::Engine,
-                                    "internal: reply shape mismatch",
-                                );
-                            }
-                            (Err(e), _) => {
-                                // The one machine-distinguishable failure: a
-                                // rotation racing another rotation.
-                                let code = match e {
-                                    GatewayError::StaleEpoch { .. } => ErrorCode::StaleEpoch,
-                                    _ => ErrorCode::Engine,
-                                };
-                                conn.push_error(ticket.stream, ticket.seq, code, &e.to_string());
-                            }
-                        }
-                    }
-                    TicketOutcome::Rejected { code, detail } => {
-                        conn.push_error(ticket.stream, ticket.seq, code, &detail);
-                    }
+                if let Ok(StreamOutput::Rekeyed { epoch }) = answer {
+                    let token = shared.rotated(&mut conn.streams, stream, epoch);
+                    let ack = encode_rekey_ack(epoch, token);
+                    conn.push_frame(
+                        &Frame::new(FrameKind::RekeyAck, stream, seq).with_payload(ack),
+                    );
+                } else {
+                    conn.push_answer(stream, seq, bit_len, &answer);
                 }
                 ServerStats::bump(&shared.stats.frames_sent);
             }

@@ -20,6 +20,10 @@
 //! reactor's connections and both directions — into **one**
 //! [`StreamMux::submit_batch`] call (one worker-pool job per busy
 //! shard), route results back into per-connection write buffers, flush.
+//! Reactor 0 also drains the MHNP-D socket (see [`crate::dgram`]) in the
+//! same tick: its chunks join the same batch, and their replies go back
+//! to each packet's source address. The datagram path has no thread of
+//! its own.
 //!
 //! Backpressure is explicit: a connection whose write buffer is over the
 //! configured limit is not read from until it drains, so a client that
@@ -59,7 +63,7 @@ use std::time::Duration;
 use mhhea::gateway::StreamMux;
 use mhhea::Key;
 
-use crate::dgram::socket::DgramDriver;
+use crate::dgram::socket::DgramPort;
 use crate::frame::MAX_PAYLOAD;
 use crate::reactor::{Reactor, Shared};
 
@@ -119,8 +123,8 @@ pub struct ServerConfig {
     /// Enable with [`ServerConfig::with_ephemeral_keys`].
     pub ephemeral: bool,
     /// Serve the MHNP-D datagram path (see [`crate::dgram`]): bind a UDP
-    /// socket beside the listener and run a driver thread for it. Off by
-    /// default. Enable with [`ServerConfig::with_dgram`].
+    /// socket beside the listener, drained by reactor 0 in its tick. Off
+    /// by default. Enable with [`ServerConfig::with_dgram`].
     pub dgram: bool,
     /// Replay-window span, in chunk indices, for each stream attached to
     /// the datagram path (see [`crate::dgram::window::ReorderWindow`];
@@ -153,9 +157,9 @@ impl ServerConfig {
 
     /// Enables the MHNP-D datagram path: [`NetServer::bind`] also binds a
     /// UDP socket (same IP, OS-picked port — read it back with
-    /// [`ServerHandle::dgram_addr`]) and [`NetServer::run`] drives it on
-    /// a dedicated thread. Streams are attached to it by resume token;
-    /// see [`crate::dgram`].
+    /// [`ServerHandle::dgram_addr`]), and reactor 0 serves it in its tick
+    /// beside its TCP connections; no thread is added. Streams are
+    /// attached to it by resume token; see [`crate::dgram`].
     #[must_use]
     pub fn with_dgram(mut self) -> ServerConfig {
         self.dgram = true;
@@ -298,13 +302,14 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (dgram, dgram_addr) = if cfg.dgram {
+        let dgram = if cfg.dgram {
             let sock = UdpSocket::bind((addr.ip(), 0))?;
-            let dgram_addr = sock.local_addr()?;
-            (Some(sock), Some(dgram_addr))
+            sock.set_nonblocking(true)?;
+            Some(sock)
         } else {
-            (None, None)
+            None
         };
+        let dgram_addr = dgram.as_ref().map(UdpSocket::local_addr).transpose()?;
         Ok(NetServer {
             listener,
             addr,
@@ -363,12 +368,13 @@ impl NetServer {
     /// With `reactors == 1` the single reactor is driven interleaved with
     /// the acceptor on the calling thread (the classic single-loop
     /// server); with more, this thread accepts and deals sockets while
-    /// `reactors` scoped threads each run their own loop.
+    /// `reactors` scoped threads each run their own loop. Reactor 0 also
+    /// serves the datagram socket, if there is one.
     pub fn run(self, shutdown: &AtomicBool) {
         let NetServer {
             listener,
             shared,
-            dgram,
+            mut dgram,
             ..
         } = self;
         let n = shared.cfg.reactors.max(1);
@@ -377,28 +383,15 @@ impl NetServer {
         for _ in 0..n {
             let (tx, rx) = mpsc::channel();
             txs.push(tx);
-            reactors.push(Reactor::new(Arc::clone(&shared), rx));
+            // `take` hands the socket to the first reactor only.
+            let port = dgram.take().map(DgramPort::new);
+            reactors.push(Reactor::new(Arc::clone(&shared), rx, port));
         }
         let idle = shared.cfg.idle_sleep;
-        // The scope hosts the optional datagram driver (and, with
-        // `reactors > 1`, the reactor threads); everything joins before
-        // run() returns, so the shared state never outlives the loop.
-        std::thread::scope(|scope| {
-            if let Some(sock) = dgram {
-                let driver = DgramDriver::new(Arc::clone(&shared), sock);
-                std::thread::Builder::new()
-                    .name("mhnp-dgram".into())
-                    .spawn_scoped(scope, move || driver.run(shutdown))
-                    // lint: allow(panic-path, reason = "startup-only: failing to spawn the datagram thread means the configured datagram path cannot run at all; there is no traffic to answer yet")
-                    .expect("spawn dgram thread");
-            }
-            if n == 1 {
-                // The loop above pushed exactly `n == 1` reactors.
-                let Some(mut reactor) = reactors.pop() else {
-                    debug_assert!(false, "one reactor was built");
-                    return;
-                };
-                let mut next = 0;
+        let mut next = 0;
+        if n == 1 {
+            // Exactly one reactor, interleaved with the acceptor.
+            for mut reactor in reactors {
                 while !shutdown.load(Ordering::Relaxed) {
                     let mut progress = accept_pending(&listener, &shared, &txs, &mut next);
                     progress |= reactor.step();
@@ -406,22 +399,25 @@ impl NetServer {
                         std::thread::sleep(idle);
                     }
                 }
-            } else {
-                for (i, reactor) in reactors.into_iter().enumerate() {
-                    std::thread::Builder::new()
-                        .name(format!("mhnp-reactor-{i}"))
-                        .spawn_scoped(scope, move || reactor.run(shutdown))
-                        // lint: allow(panic-path, reason = "startup-only: failing to spawn a reactor thread means the server cannot run at all; there is no connection to answer yet")
-                        .expect("spawn reactor thread");
-                }
-                let mut next = 0;
-                while !shutdown.load(Ordering::Relaxed) {
-                    if !accept_pending(&listener, &shared, &txs, &mut next) {
-                        std::thread::sleep(idle);
-                    }
-                }
-                drop(txs);
             }
+            return;
+        }
+        // The scope joins every reactor thread before run() returns, so
+        // the shared state never outlives the loops.
+        std::thread::scope(|scope| {
+            for (i, reactor) in reactors.into_iter().enumerate() {
+                std::thread::Builder::new()
+                    .name(format!("mhnp-reactor-{i}"))
+                    .spawn_scoped(scope, move || reactor.run(shutdown))
+                    // lint: allow(panic-path, reason = "startup-only: failing to spawn a reactor thread means the server cannot run at all; there is no connection to answer yet")
+                    .expect("spawn reactor thread");
+            }
+            while !shutdown.load(Ordering::Relaxed) {
+                if !accept_pending(&listener, &shared, &txs, &mut next) {
+                    std::thread::sleep(idle);
+                }
+            }
+            drop(txs);
         });
     }
 }

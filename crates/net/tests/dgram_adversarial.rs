@@ -26,7 +26,7 @@ fn key() -> Key {
 }
 
 /// Reactor threads for every per-test server: 1 by default, overridable
-/// with `MHNP_REACTORS` (the datagram driver is a single thread either
+/// with `MHNP_REACTORS` (reactor 0 serves the datagram socket either
 /// way, but attach/rekey races differ with the TCP side's parallelism).
 fn reactors() -> usize {
     std::env::var("MHNP_REACTORS")
