@@ -3,23 +3,23 @@
 //!
 //! Usage: `cargo run --release -p mhhea-bench --bin alignment_demo`
 
-use bitkit::BitVec;
+use bitkit::word;
 
-fn show(label: &str, v: &BitVec) {
-    println!("{label:<42} {v} (0x{v:x})");
+fn show(label: &str, v: u16) {
+    println!("{label:<42} {v:016b} (0x{v:04x})");
 }
 
 fn main() {
     println!("== Figure 3: message alignment (KeyL=2, KeyR=5) ==\n");
-    let message = BitVec::from_u64(0x48D0, 16);
-    show("(a) no alignment", &message);
-    let left = message.rotate_left(2);
-    show("(b) circulate left by KeyL = 2", &left);
+    let message = 0x48D0u16;
+    show("(a) no alignment", message);
+    let left = word::rotl16(message, 2);
+    show("(b) circulate left by KeyL = 2", left);
     println!(
         "    -> message bits m0..m3 now sit at positions 2..5,\n       aligned with the hiding-vector span C2..C5"
     );
-    let right = left.rotate_right(6);
-    show("(c) circulate right by KeyR+1 = 6", &right);
+    let right = word::rotr16(left, 6);
+    show("(c) circulate right by KeyR+1 = 6", right);
     println!("    -> consumed bits rotated away; the next message bit is back at LSB\n");
 
     println!("worked example of Figure 8 on the same datapath:");

@@ -11,8 +11,11 @@
 //! ```
 //! use bitkit::word;
 //!
+//! // The paper's Figure 3: circulate left by KeyL = 2, then right by
+//! // KeyR + 1 = 6.
 //! assert_eq!(word::rotl16(0x48D0, 2), 0x2341);
 //! assert_eq!(word::rotr16(0x2341, 6), 0x048D);
+//! assert_eq!(word::rotr16(word::rotl16(0x48D0, 2), 6), 0x048D);
 //! ```
 
 /// Rotates a 16-bit word left by `n` (mod 16).

@@ -198,17 +198,24 @@ impl SpanEntry {
 pub struct SpanTable {
     /// One 256-entry table per schedule position.
     per_pair: Vec<[SpanEntry; 256]>,
+    /// Mean span width over all entries (the high byte is uniform).
+    expected_span: f64,
 }
 
 impl SpanTable {
     /// Builds the table for `key`'s pair cycle under `algorithm`.
     pub fn new(key: &Key, algorithm: Algorithm) -> Self {
-        let per_pair = key
+        let per_pair: Vec<[SpanEntry; 256]> = key
             .pairs()
             .iter()
             .map(|&pair| core::array::from_fn(|hb| SpanEntry::new(algorithm, pair, hb as u8)))
             .collect();
-        SpanTable { per_pair }
+        let widths: u32 = per_pair.iter().flatten().map(|e| e.width as u32).sum();
+        let expected_span = widths as f64 / (256 * per_pair.len()) as f64;
+        SpanTable {
+            per_pair,
+            expected_span,
+        }
     }
 
     /// The table for the hardware key schedule ([`Key::expand_cyclic`] to
@@ -220,6 +227,12 @@ impl SpanTable {
     /// Number of schedule positions.
     pub fn schedule_len(&self) -> usize {
         self.per_pair.len()
+    }
+
+    /// [`crate::stats::estimated_blocks`] read off the table; the encrypt
+    /// kernel pre-sizes its output with it.
+    pub(crate) fn estimated_blocks(&self, bit_len: usize) -> usize {
+        crate::stats::blocks_for(bit_len, self.expected_span, self.per_pair.len())
     }
 
     /// The span for block index `block_index` and vector high byte

@@ -6,9 +6,9 @@
 //! fingerprint so wrong-key attempts fail loudly instead of returning
 //! noise.
 //!
-//! **v1** ([`seal`]) is one stream sealed by one session from the stream
-//! origin. **v2** ([`seal_v2`]) frames the payload into fixed-size chunks,
-//! each encrypted by an independent session whose LFSR seed derives from
+//! **v1** ([`seal`]) is one stream sealed from the stream origin. **v2**
+//! ([`seal_v2`]) frames the payload into fixed-size chunks, each sealed
+//! independently from the stream origin with an LFSR seed derived from
 //! the master seed and the chunk number ([`crate::pipeline::chunk_seed`]),
 //! so a large payload seals *and* opens chunk-parallel across threads.
 //! [`open`] reads both versions.
@@ -55,9 +55,9 @@
 use bitkit::{le_u16, le_u32, le_u64};
 
 use crate::pipeline::{chunk_ranges, chunk_seed, parallel_map, DEFAULT_CHUNK_BYTES};
-use crate::session::{build_table, DecryptSession, EncryptSession};
+use crate::session::{build_table, decrypt_at, encrypt_at, StreamCursor};
 use crate::source::LfsrSource;
-use crate::{Algorithm, Decryptor, Encryptor, Key, MhheaError, Profile};
+use crate::{Algorithm, Key, MhheaError, Profile};
 
 /// Container magic bytes.
 pub const MAGIC: [u8; 4] = *b"MHEA";
@@ -180,13 +180,19 @@ impl Default for SealOptions {
 /// Returns [`ContainerError::Engine`] for engine failures; a zero LFSR
 /// seed is rejected as [`MhheaError::InvalidSeed`].
 pub fn seal(key: &Key, message: &[u8], opts: &SealOptions) -> Result<Vec<u8>, ContainerError> {
-    let source = LfsrSource::new(opts.lfsr_seed)
+    let mut source = LfsrSource::new(opts.lfsr_seed)
         .map_err(|_| ContainerError::Engine(MhheaError::InvalidSeed))?;
-    let mut enc = Encryptor::new(key.clone(), source)
-        .with_algorithm(opts.algorithm)
-        .with_profile(opts.profile);
-    let blocks = enc.encrypt(message)?;
-    let bit_len = (message.len() * 8) as u64;
+    let table = build_table(key, opts.algorithm, opts.profile);
+    let bit_len = message.len() * 8;
+    let mut origin = StreamCursor::start();
+    let blocks = encrypt_at(
+        &table,
+        opts.profile,
+        &mut origin,
+        &mut source,
+        message,
+        bit_len,
+    )?;
 
     let mut out = Vec::with_capacity(HEADER_LEN + blocks.len() * 2);
     out.extend_from_slice(&MAGIC);
@@ -195,7 +201,7 @@ pub fn seal(key: &Key, message: &[u8], opts: &SealOptions) -> Result<Vec<u8>, Co
     out.push(opts.profile.tag());
     out.push(0); // reserved
     out.extend_from_slice(&key.fingerprint().to_le_bytes());
-    out.extend_from_slice(&bit_len.to_le_bytes());
+    out.extend_from_slice(&(bit_len as u64).to_le_bytes());
     out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
     for b in blocks {
         out.extend_from_slice(&b.to_le_bytes());
@@ -259,28 +265,28 @@ pub fn seal_v2(key: &Key, message: &[u8], opts: &SealV2Options) -> Result<Vec<u8
     let chunk_lens: Vec<usize> = ranges.iter().map(std::ops::Range::len).collect();
 
     // Pool jobs outlive this stack frame, so each chunk owns its bytes
-    // (one payload-sized copy total) and the key travels behind an Arc.
-    // Every chunk session runs on one shared span table.
+    // (one payload-sized copy total). Every chunk runs on one shared span
+    // table from the stream origin, with its own LFSR source.
     let jobs: Vec<(u32, Vec<u8>)> = ranges
         .into_iter()
         .enumerate()
         .map(|(i, r)| (i as u32, message[r].to_vec()))
         .collect();
-    let shared_key = std::sync::Arc::new(key.clone());
-    let (algorithm, profile, master_seed) = (opts.algorithm, opts.profile, opts.master_seed);
-    let table = build_table(key, algorithm, profile);
+    let (profile, master_seed) = (opts.profile, opts.master_seed);
+    let table = build_table(key, opts.algorithm, profile);
     let sealed: Vec<Result<Vec<u16>, MhheaError>> =
         parallel_map(jobs, opts.workers, move |_, (index, chunk)| {
             let seed = chunk_seed(master_seed, index);
-            let source = LfsrSource::new(seed).expect("derived seeds are nonzero");
-            let mut session = EncryptSession::with_table(
-                (*shared_key).clone(),
-                source,
-                algorithm,
+            let mut source = LfsrSource::new(seed).expect("derived seeds are nonzero");
+            let mut origin = StreamCursor::start();
+            encrypt_at(
+                &table,
                 profile,
-                std::sync::Arc::clone(&table),
-            );
-            session.encrypt(&chunk)
+                &mut origin,
+                &mut source,
+                &chunk,
+                chunk.len() * 8,
+            )
         });
 
     let mut out = Vec::with_capacity(HEADER_V2_LEN + message.len() * 5);
@@ -434,10 +440,15 @@ fn open_v1(key: &Key, bytes: &[u8]) -> Result<Vec<u8>, ContainerError> {
         .chunks_exact(2)
         .map(|c| u16::from_le_bytes([c[0], c[1]]))
         .collect();
-    let dec = Decryptor::new(key.clone())
-        .with_algorithm(header.algorithm)
-        .with_profile(header.profile);
-    Ok(dec.decrypt(&blocks, header.bit_len as usize)?)
+    let table = build_table(key, header.algorithm, header.profile);
+    let mut origin = StreamCursor::start();
+    Ok(decrypt_at(
+        &table,
+        header.profile,
+        &mut origin,
+        &blocks,
+        header.bit_len as usize,
+    )?)
 }
 
 /// Decrypts a v2 container with automatic worker count.
@@ -503,25 +514,22 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
         });
     }
 
-    // Each chunk was sealed by an independent session from the stream
-    // origin, so chunks decrypt in any order on any thread (each worker
-    // clones a fresh-cursor template; the clone shares its span table).
-    // The hiding vectors travel inside the blocks themselves — the decrypt
-    // side never re-derives the per-chunk seeds (the master seed in the
-    // header exists so a holder of the key can reproduce the seal
-    // bit-for-bit).
-    let template = std::sync::Arc::new(DecryptSession::with_options(
-        key.clone(),
-        header.algorithm,
-        header.profile,
-    ));
+    // Each chunk was sealed independently from the stream origin, so
+    // chunks decrypt in any order on any thread, each from a fresh cursor
+    // on one shared span table. The hiding vectors travel inside the
+    // blocks themselves — the decrypt side never re-derives the per-chunk
+    // seeds (the master seed in the header exists so a holder of the key
+    // can reproduce the seal bit-for-bit).
+    let profile = header.profile;
+    let table = build_table(key, header.algorithm, profile);
     let opened: Vec<Result<Vec<u8>, MhheaError>> =
         parallel_map(frames, workers, move |_, (_index, bit_len, body)| {
             let blocks: Vec<u16> = body
                 .chunks_exact(2)
                 .map(|c| u16::from_le_bytes([c[0], c[1]]))
                 .collect();
-            (*template).clone().decrypt(&blocks, bit_len)
+            let mut origin = StreamCursor::start();
+            decrypt_at(&table, profile, &mut origin, &blocks, bit_len)
         });
 
     // A chunk yields at most one plaintext byte per two sealed bytes, so

@@ -23,15 +23,19 @@
 //! opens with any `Decryptor` holding the key. For continuous multi-
 //! message traffic where the position should carry across messages, use
 //! the stateful [`crate::session::EncryptSession`] /
-//! [`crate::session::DecryptSession`] pair these wrappers are built on.
+//! [`crate::session::DecryptSession`] pair, which run the same kernels.
 //!
 //! Both profiles are invertible with only the key, the ciphertext and the
 //! message bit length; the hiding vector's high byte travels in clear and
-//! reseeds the location scrambler on the receive side. Internally both
-//! run the word-level span-table fast path (see [`crate::block`]).
+//! reseeds the location scrambler on the receive side. Both engines run
+//! the crate's two word-level kernels on a precomputed span table (see
+//! [`crate::block`] and [`crate::session`]); the per-bit reference
+//! formulation is [`crate::block::embed`]/[`crate::block::extract`].
+
+use std::sync::Arc;
 
 use crate::block::SpanTable;
-use crate::session::{decrypt_at, EncryptSession, StreamCursor};
+use crate::session::{build_table, decrypt_at, EncryptSession, StreamCursor};
 use crate::source::VectorSource;
 use crate::{Algorithm, Key, MhheaError};
 
@@ -174,12 +178,12 @@ impl<S: VectorSource> Encryptor<S> {
     }
 }
 
-/// The single-shot decryption engine: replays the word-level decrypt path
-/// from a fresh stream origin on every call.
+/// The single-shot decryption engine: runs the decrypt kernel from a
+/// fresh stream origin on every call.
 #[derive(Debug, Clone)]
 pub struct Decryptor {
     key: Key,
-    table: SpanTable,
+    table: Arc<SpanTable>,
     algorithm: Algorithm,
     profile: Profile,
 }
@@ -187,36 +191,28 @@ pub struct Decryptor {
 impl Decryptor {
     /// Creates an MHHEA decryptor in the streaming profile.
     pub fn new(key: Key) -> Self {
-        let table = SpanTable::new(&key, Algorithm::Mhhea);
+        Decryptor::build(key, Algorithm::Mhhea, Profile::Streaming)
+    }
+
+    fn build(key: Key, algorithm: Algorithm, profile: Profile) -> Self {
         Decryptor {
+            table: build_table(&key, algorithm, profile),
             key,
-            table,
-            algorithm: Algorithm::Mhhea,
-            profile: Profile::Streaming,
+            algorithm,
+            profile,
         }
     }
 
     /// Selects the cipher variant.
     #[must_use]
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self.rebuild_table();
-        self
+    pub fn with_algorithm(self, algorithm: Algorithm) -> Self {
+        Decryptor::build(self.key, algorithm, self.profile)
     }
 
     /// Selects the buffering profile (must match the encryptor).
     #[must_use]
-    pub fn with_profile(mut self, profile: Profile) -> Self {
-        self.profile = profile;
-        self.rebuild_table();
-        self
-    }
-
-    fn rebuild_table(&mut self) {
-        self.table = match self.profile {
-            Profile::Streaming => SpanTable::new(&self.key, self.algorithm),
-            Profile::HardwareFaithful => SpanTable::new_hw(&self.key, self.algorithm),
-        };
+    pub fn with_profile(self, profile: Profile) -> Self {
+        Decryptor::build(self.key, self.algorithm, profile)
     }
 
     /// Recovers `bit_len` message bits from cipher blocks, returned as
@@ -229,8 +225,8 @@ impl Decryptor {
     /// Returns [`MhheaError::CiphertextTruncated`] when the blocks carry
     /// fewer than `bit_len` bits.
     pub fn decrypt(&self, blocks: &[u16], bit_len: usize) -> Result<Vec<u8>, MhheaError> {
-        let mut cursor = StreamCursor::start();
-        decrypt_at(&self.table, self.profile, &mut cursor, blocks, bit_len)
+        let mut origin = StreamCursor::start();
+        decrypt_at(&self.table, self.profile, &mut origin, blocks, bit_len)
     }
 }
 

@@ -1,5 +1,5 @@
 //! The batch path: [`StreamMux::submit_batch`] — one pool job per busy
-//! shard, each running its ops in batch order on the scalar sessions, and
+//! shard, each running its ops in batch order on the shard's streams, and
 //! a total scatter back into batch order.
 
 use std::collections::HashMap;
@@ -97,7 +97,7 @@ impl StreamMux {
     }
 }
 
-/// Runs one op on the stream's sessions; a rekey takes its table from
+/// Runs one op on the stream; a rekey takes its table from
 /// `tables`. Chunk ops go through the same `StreamState` methods as
 /// [`StreamMux::seal_chunk`]/[`StreamMux::open_chunk`].
 fn run_op(
@@ -107,9 +107,9 @@ fn run_op(
     tables: &TableInterner,
 ) -> Result<StreamOutput, GatewayError> {
     match op {
-        StreamOp::Encrypt(msg) => Ok(StreamOutput::Blocks(s.enc.encrypt(&msg)?)),
+        StreamOp::Encrypt(msg) => Ok(StreamOutput::Blocks(s.encrypt(&msg)?)),
         StreamOp::Decrypt { blocks, bit_len } => {
-            Ok(StreamOutput::Plain(s.dec.decrypt(&blocks, bit_len)?))
+            Ok(StreamOutput::Plain(s.decrypt(&blocks, bit_len)?))
         }
         StreamOp::Rekey { epoch } => Ok(StreamOutput::Rekeyed {
             epoch: s.rekey(id, epoch, tables)?,

@@ -3,11 +3,11 @@
 //!
 //! The paper's MHHEA core sits on a live data-communication link; a
 //! deployment serves *many* such links at once. [`StreamMux`] is that
-//! layer in software: it owns one [`EncryptSession`]/[`DecryptSession`]
-//! pair per [`StreamId`], keeps them in a sharded session table (one lock
-//! per shard, so independent streams never contend), and coalesces batches
-//! of small messages from many streams into single submissions to the
-//! shared [`WorkerPool`](crate::pipeline::WorkerPool).
+//! layer in software: it owns one duplex stream per [`StreamId`], keeps
+//! them in a sharded stream table (one lock per shard, so independent
+//! streams never contend), and coalesces batches of small messages from
+//! many streams into single submissions to the shared
+//! [`WorkerPool`](crate::pipeline::WorkerPool).
 //!
 //! The API tour:
 //!
@@ -24,8 +24,11 @@
 //!
 //! Every stream on one `(key, algorithm, profile)` shares one immutable
 //! span table: the mux interns tables, the way the paper's datapath has
-//! one key cache that every module reads. A stream itself holds its two
-//! cursors, a 2-byte LFSR state, its key and a reference to the table.
+//! one key cache that every module reads. A stream itself is one flat
+//! record that stores each fact once: its key, algorithm, profile and
+//! epoch, a reference to the table, its LFSR source, one cursor per
+//! direction and its optional keyring. Every op runs the crate's two
+//! cipher kernels (see [`crate::session`]) on that record.
 //!
 //! Streams are evictable: [`StreamMux::evict`] serialises a stream's
 //! entire resume state (key, cursors, LFSR state) into a snapshot byte
@@ -103,7 +106,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use crate::block::SpanTable;
 use crate::key::KeyRing;
 use crate::pipeline::chunk_seed;
-use crate::session::{build_table, decrypt_at, DecryptSession, EncryptSession, StreamCursor};
+use crate::session::{build_table, decrypt_at, encrypt_at, StreamCursor};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Key, MhheaError, Profile};
 
@@ -341,24 +344,34 @@ pub enum StreamOutput {
     },
 }
 
-/// One duplex stream: an encrypt endpoint, a decrypt endpoint tracking the
-/// peer's encrypt side, and the parameters needed to snapshot both.
+/// One duplex stream: the encrypt side's LFSR source and cursor, the
+/// decrypt side's cursor tracking the peer's encrypt side, and the cipher
+/// they share. Each fact is stored once.
 #[derive(Debug)]
 struct StreamState {
-    enc: EncryptSession<LfsrSource>,
-    dec: DecryptSession,
     key: Key,
     algorithm: Algorithm,
     profile: Profile,
-    /// Present iff the stream can rekey.
-    ring: Option<KeyRing>,
+    /// The mux's shared table for `(key, algorithm, profile)`.
+    table: Arc<SpanTable>,
+    /// The encrypt side's hiding-vector source.
+    source: LfsrSource,
+    enc: StreamCursor,
+    dec: StreamCursor,
     /// Current key epoch (0 until the first rekey).
     epoch: u32,
+    /// Present iff the stream can rekey.
+    ring: Option<KeyRing>,
+}
+
+/// An LFSR source on `seed`, refusing zero as a gateway error.
+fn lfsr(seed: u16) -> Result<LfsrSource, GatewayError> {
+    LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))
 }
 
 impl StreamState {
-    /// A stream at the cipher-stream origin, epoch 0, both sessions on
-    /// `tables`' shared table for `(key, algorithm, profile)`.
+    /// A stream at the cipher-stream origin, epoch 0, on `tables`' shared
+    /// table for `(key, algorithm, profile)`.
     fn new(
         key: Key,
         algorithm: Algorithm,
@@ -367,27 +380,45 @@ impl StreamState {
         ring: Option<KeyRing>,
         tables: &TableInterner,
     ) -> StreamState {
-        let table = tables.get(&key, algorithm, profile);
         StreamState {
-            enc: EncryptSession::with_table(
-                key.clone(),
-                source,
-                algorithm,
-                profile,
-                Arc::clone(&table),
-            ),
-            dec: DecryptSession::with_table(key.clone(), algorithm, profile, table),
+            table: tables.get(&key, algorithm, profile),
             key,
             algorithm,
             profile,
-            ring,
+            source,
+            enc: StreamCursor::start(),
+            dec: StreamCursor::start(),
             epoch: 0,
+            ring,
         }
     }
 
-    /// Rotates both sessions to `epoch` atomically: the epoch's key from
-    /// the ring, a fresh LFSR reseed on the encrypt side, both cursors
-    /// back at the stream origin.
+    /// Encrypts one message, advancing the encrypt cursor.
+    fn encrypt(&mut self, message: &[u8]) -> Result<Vec<u16>, GatewayError> {
+        Ok(encrypt_at(
+            &self.table,
+            self.profile,
+            &mut self.enc,
+            &mut self.source,
+            message,
+            message.len() * 8,
+        )?)
+    }
+
+    /// Decrypts one message, advancing the decrypt cursor on success only.
+    fn decrypt(&mut self, blocks: &[u16], bit_len: usize) -> Result<Vec<u8>, GatewayError> {
+        Ok(decrypt_at(
+            &self.table,
+            self.profile,
+            &mut self.dec,
+            blocks,
+            bit_len,
+        )?)
+    }
+
+    /// Rotates both directions to `epoch` atomically: the epoch's key
+    /// from the ring, a fresh LFSR reseed on the encrypt side, both
+    /// cursors back at the stream origin.
     fn rekey(
         &mut self,
         id: StreamId,
@@ -397,15 +428,16 @@ impl StreamState {
         let ring = self.ring.as_ref().ok_or(GatewayError::NoKeyRing(id))?;
         self.check_newer(epoch)?;
         let key = ring.key(epoch).clone();
-        let source = LfsrSource::new(ring.seed(epoch))
-            .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-        self.install(key, source, epoch, tables)
+        let source = lfsr(ring.seed(epoch))?;
+        self.enter_epoch(key, source, epoch, tables);
+        Ok(epoch)
     }
 
-    /// Rotates both sessions to `epoch` with externally derived material
-    /// (a fresh Diffie–Hellman exchange) instead of a ring lookup. The
-    /// stream's ring is replaced by a single-entry ring holding exactly
-    /// this key and seed, so snapshots of the stream stay restorable.
+    /// Rotates both directions to `epoch` with externally derived
+    /// material (a fresh Diffie–Hellman exchange) instead of a ring
+    /// lookup. The stream's ring is replaced by a single-entry ring
+    /// holding exactly this key and seed, so snapshots of the stream stay
+    /// restorable.
     fn rekey_with(
         &mut self,
         key: Key,
@@ -415,18 +447,29 @@ impl StreamState {
     ) -> Result<u32, GatewayError> {
         self.check_newer(epoch)?;
         // A single-key ring only rejects a zero master seed, exactly the
-        // condition `LfsrSource::new` rejects below.
+        // condition `lfsr` rejects below.
         let ring = KeyRing::single(key.clone(), seed)
             .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-        let source =
-            LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-        self.install(key, source, epoch, tables)?;
+        let source = lfsr(seed)?;
+        self.enter_epoch(key, source, epoch, tables);
         self.ring = Some(ring);
         Ok(epoch)
     }
 
-    /// Seals `message` as chunk `index` of `epoch` on a one-shot session
-    /// (see [`StreamMux::seal_chunk`]); the stream's cursors do not move.
+    /// Moves the stream to `epoch` on `key`'s shared table, both cursors
+    /// at the origin. The callers have checked everything that can fail.
+    fn enter_epoch(&mut self, key: Key, source: LfsrSource, epoch: u32, tables: &TableInterner) {
+        self.table = tables.get(&key, self.algorithm, self.profile);
+        self.key = key;
+        self.source = source;
+        self.enc = StreamCursor::start();
+        self.dec = StreamCursor::start();
+        self.epoch = epoch;
+    }
+
+    /// Seals `message` as chunk `index` of `epoch` from the stream origin
+    /// on a one-shot LFSR source (see [`StreamMux::seal_chunk`]); the
+    /// stream's cursors do not move.
     fn seal_chunk(
         &self,
         id: StreamId,
@@ -436,17 +479,16 @@ impl StreamState {
     ) -> Result<Vec<u16>, GatewayError> {
         let ring = self.ring.as_ref().ok_or(GatewayError::NoKeyRing(id))?;
         self.check_current(epoch)?;
-        let seed = chunk_seed(ring.seed(epoch), index);
-        let source =
-            LfsrSource::new(seed).map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
-        let mut enc = EncryptSession::with_table(
-            self.key.clone(),
-            source,
-            self.algorithm,
+        let mut source = lfsr(chunk_seed(ring.seed(epoch), index))?;
+        let mut origin = StreamCursor::start();
+        Ok(encrypt_at(
+            &self.table,
             self.profile,
-            Arc::clone(self.enc.table()),
-        );
-        Ok(enc.encrypt(message)?)
+            &mut origin,
+            &mut source,
+            message,
+            message.len() * 8,
+        )?)
     }
 
     /// Opens one chunk of `epoch` from the stream origin (see
@@ -460,7 +502,7 @@ impl StreamState {
         self.check_current(epoch)?;
         let mut origin = StreamCursor::start();
         Ok(decrypt_at(
-            self.dec.table(),
+            &self.table,
             self.profile,
             &mut origin,
             blocks,
@@ -486,25 +528,6 @@ impl StreamState {
             });
         }
         Ok(())
-    }
-
-    /// Moves both sessions to `epoch` on `key`'s shared table. The caller
-    /// has already checked the epoch, so neither session-level rekey can
-    /// report a stale epoch; the two sessions always move together.
-    fn install(
-        &mut self,
-        key: Key,
-        source: LfsrSource,
-        epoch: u32,
-        tables: &TableInterner,
-    ) -> Result<u32, GatewayError> {
-        let table = tables.get(&key, self.algorithm, self.profile);
-        self.enc
-            .rekey_with_table(key.clone(), source, epoch, Arc::clone(&table))?;
-        self.dec.rekey_with_table(key.clone(), epoch, table)?;
-        self.key = key;
-        self.epoch = epoch;
-        Ok(epoch)
     }
 }
 
@@ -699,8 +722,7 @@ impl StreamMux {
     /// [`GatewayError::Engine`] ([`MhheaError::InvalidSeed`]) for a zero
     /// seed.
     pub fn open(&self, id: StreamId, config: StreamConfig) -> Result<(), GatewayError> {
-        let source = LfsrSource::new(config.seed)
-            .map_err(|_| GatewayError::Engine(MhheaError::InvalidSeed))?;
+        let source = lfsr(config.seed)?;
         let state = StreamState::new(
             config.key,
             config.algorithm,
@@ -740,7 +762,7 @@ impl StreamMux {
     /// [`GatewayError::UnknownStream`]; engine failures as
     /// [`GatewayError::Engine`].
     pub fn encrypt(&self, id: StreamId, message: &[u8]) -> Result<Vec<u16>, GatewayError> {
-        self.inner.with_stream(id, |s| Ok(s.enc.encrypt(message)?))
+        self.inner.with_stream(id, |s| s.encrypt(message))
     }
 
     /// Decrypts one message's blocks on one stream, advancing its cursor.
@@ -756,8 +778,7 @@ impl StreamMux {
         blocks: &[u16],
         bit_len: usize,
     ) -> Result<Vec<u8>, GatewayError> {
-        self.inner
-            .with_stream(id, |s| Ok(s.dec.decrypt(blocks, bit_len)?))
+        self.inner.with_stream(id, |s| s.decrypt(blocks, bit_len))
     }
 
     /// The stream's current encrypt-side cursor (for monitoring).
@@ -766,7 +787,7 @@ impl StreamMux {
     ///
     /// [`GatewayError::UnknownStream`].
     pub fn cursor(&self, id: StreamId) -> Result<StreamCursor, GatewayError> {
-        self.inner.with_stream(id, |s| Ok(s.enc.cursor()))
+        self.inner.with_stream(id, |s| Ok(s.enc))
     }
 
     /// The stream's current key epoch (0 until the first rekey).
@@ -822,7 +843,7 @@ impl StreamMux {
     }
 
     /// Seals one **chunk-addressed** message on a stream: a one-shot
-    /// encrypt session seeded with `chunk_seed(ring.seed(epoch),
+    /// keystream from an LFSR seeded with `chunk_seed(ring.seed(epoch),
     /// chunk_index)` — the container-v2 per-chunk derivation — so every
     /// chunk is independently decryptable, in any order, with any subset
     /// delivered. The stream's duplex cursors are **not** advanced: chunk
@@ -855,7 +876,7 @@ impl StreamMux {
     }
 
     /// Opens one chunk sealed by [`StreamMux::seal_chunk`] (this mux or
-    /// any peer holding the same key): a one-shot decrypt session from the
+    /// any peer holding the same key): a one-shot decrypt from the
     /// stream origin — decryption consults only the key, so no seed
     /// derivation is needed and chunks open in any order. The stream's
     /// duplex cursors are **not** advanced.
@@ -917,6 +938,7 @@ impl StreamMux {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::EncryptSession;
 
     pub(super) fn key() -> Key {
         Key::from_nibbles(&[(0, 3), (2, 5), (1, 7)]).unwrap()
@@ -1261,16 +1283,10 @@ mod tests {
         assert_eq!(a, b, "post-restore rotation diverged");
     }
 
-    /// The table a stream's sessions run on; both halves share it.
+    /// The table a stream runs on (both directions).
     fn table_of(mux: &StreamMux, id: u64) -> Arc<SpanTable> {
         mux.inner
-            .with_stream(StreamId(id), |s| {
-                assert!(
-                    Arc::ptr_eq(s.enc.table(), s.dec.table()),
-                    "enc and dec must share one table"
-                );
-                Ok(Arc::clone(s.enc.table()))
-            })
+            .with_stream(StreamId(id), |s| Ok(Arc::clone(&s.table)))
             .unwrap()
     }
 
@@ -1289,8 +1305,8 @@ mod tests {
         for id in 1..16 {
             assert!(Arc::ptr_eq(&first, &table_of(&mux, id)), "stream {id}");
         }
-        // 16 streams, 32 sessions, one table (plus this test's handle).
-        assert_eq!(Arc::strong_count(&first), 33);
+        // 16 streams, one table (plus this test's handle).
+        assert_eq!(Arc::strong_count(&first), 17);
         assert_eq!(interned(&mux), 1);
     }
 

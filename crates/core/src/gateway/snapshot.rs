@@ -107,9 +107,9 @@ pub(super) fn encode_snapshot(id: StreamId, state: &StreamState) -> Vec<u8> {
     // lint: allow(truncating-cast, reason = "Key::from_nibbles caps a key at MAX_PAIRS = 16 pairs")
     out.push(pairs.len() as u8);
     out.extend_from_slice(&id.0.to_le_bytes());
-    out.extend_from_slice(&state.enc.source().state().to_le_bytes());
-    out.extend_from_slice(&state.enc.cursor().to_bytes());
-    out.extend_from_slice(&state.dec.cursor().to_bytes());
+    out.extend_from_slice(&state.source.state().to_le_bytes());
+    out.extend_from_slice(&state.enc.to_bytes());
+    out.extend_from_slice(&state.dec.to_bytes());
     out.extend_from_slice(&state.epoch.to_le_bytes());
     let (master_seed, ring_keys) = match &state.ring {
         Some(ring) => (ring.master_seed(), ring.keys()),
@@ -156,8 +156,8 @@ fn key_from_pair_bytes(bytes: &[u8]) -> Result<Key, SnapshotDecodeError> {
     Key::from_nibbles(&nibbles).map_err(SnapshotDecodeError::Key)
 }
 
-/// Decodes a snapshot into a stream whose sessions run on `tables`'
-/// shared table for the snapshotted key.
+/// Decodes a snapshot into a stream that runs on `tables`' shared table
+/// for the snapshotted key.
 pub(super) fn decode_snapshot(
     bytes: &[u8],
     tables: &TableInterner,
@@ -236,10 +236,8 @@ pub(super) fn decode_snapshot(
     // but keeps the serving path total.
     let source = LfsrSource::new(lfsr_state).map_err(|_| SnapshotDecodeError::ZeroLfsrState)?;
     let mut state = StreamState::new(key, algorithm, profile, source, ring, tables);
-    state.enc.set_cursor(enc_cursor);
-    state.enc.set_epoch(epoch);
-    state.dec.set_cursor(dec_cursor);
-    state.dec.set_epoch(epoch);
+    state.enc = enc_cursor;
+    state.dec = dec_cursor;
     state.epoch = epoch;
     Ok((id, state))
 }

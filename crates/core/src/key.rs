@@ -73,7 +73,6 @@ impl std::error::Error for KeyError {}
 /// `(min, max)` ordering the algorithm works with (the pseudocode swaps
 /// in place before use).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KeyPair {
     left: u8,
     right: u8,
@@ -126,7 +125,6 @@ impl core::fmt::Display for KeyPair {
 
 /// A full key: 1..=16 pairs, cycled block by block.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Key {
     pairs: Vec<KeyPair>,
 }

@@ -14,29 +14,30 @@
 //!   [`DecryptSession`] advances in lockstep as it opens them. Encrypting
 //!   three messages through one session and decrypting them through one
 //!   session round-trips all three, in both profiles.
-//! * Both sessions run the **word-level** hot path: a precomputed
-//!   [`SpanTable`] turns each block into a few shift/mask operations on
-//!   `u16`s instead of a per-bit `Iterator<Item = bool>` loop (see
-//!   [`crate::block`]). The table is immutable and held behind an
-//!   [`Arc`]: a standalone session builds its own, while the gateway
-//!   hands every session on one `(key, algorithm, profile)` the same
-//!   table, so an encrypt/decrypt pair — or thousands of streams on one
-//!   key — hold one copy.
+//! * Both sessions are thin wrappers over the crate's two cipher kernels,
+//!   one encrypt function and one decrypt function. Each takes a
+//!   precomputed [`SpanTable`], the profile and a [`StreamCursor`] and
+//!   turns each block into a few shift/mask operations on `u16`s instead
+//!   of a per-bit `Iterator<Item = bool>` loop (see [`crate::block`]).
+//!   Every other caller runs the same two kernels: the single-shot
+//!   engine, both container versions, and the gateway, whose streams
+//!   hold one cursor per direction, one LFSR source and one reference to
+//!   a table shared by every stream on the same `(key, algorithm,
+//!   profile)`. A failed decrypt never moves its cursor.
 //! * Both sessions rotate keys online: [`EncryptSession::rekey`] /
 //!   [`DecryptSession::rekey`] move a live stream to a new
 //!   [`crate::KeyRing`] epoch (new key, fresh LFSR reseed, cursor back at
 //!   the stream origin) with a bit-exact handoff — rekey both endpoints
 //!   at the same message boundary and the next message round-trips.
 //!
-//! The single-shot [`crate::Encryptor`]/[`crate::Decryptor`] wrappers are
-//! thin shims that rewind a session before every call.
+//! The single-shot [`crate::Encryptor`]/[`crate::Decryptor`] run the same
+//! kernels from the stream origin on every call.
 
 use std::sync::Arc;
 
 use crate::block::SpanTable;
 use crate::key::KeyRing;
 use crate::source::{LfsrSource, VectorSource};
-use crate::stats::estimated_blocks;
 use crate::{Algorithm, Key, MhheaError, Profile};
 use bitkit::{le_u64, word, BitReader, BitWriter};
 
@@ -188,33 +189,15 @@ impl<S: VectorSource> EncryptSession<S> {
     /// [`EncryptSession::with_algorithm`]/[`EncryptSession::with_profile`]
     /// when both are known up front, e.g. one session per chunk).
     pub fn with_options(key: Key, source: S, algorithm: Algorithm, profile: Profile) -> Self {
-        let table = build_table(&key, algorithm, profile);
-        Self::with_table(key, source, algorithm, profile, table)
-    }
-
-    /// [`EncryptSession::with_options`] on a table the caller already
-    /// holds, which must be [`build_table`]`(&key, algorithm, profile)`.
-    pub(crate) fn with_table(
-        key: Key,
-        source: S,
-        algorithm: Algorithm,
-        profile: Profile,
-        table: Arc<SpanTable>,
-    ) -> Self {
         EncryptSession {
+            table: build_table(&key, algorithm, profile),
             key,
-            table,
             source,
             algorithm,
             profile,
             cursor: StreamCursor::start(),
             epoch: 0,
         }
-    }
-
-    /// The span table this session runs on.
-    pub(crate) fn table(&self) -> &Arc<SpanTable> {
-        &self.table
     }
 
     /// Selects the cipher variant (rebuilds the span table).
@@ -281,22 +264,7 @@ impl<S: VectorSource> EncryptSession<S> {
     /// the current epoch — epochs only move forward.
     pub fn rekey_with(&mut self, key: Key, source: S, epoch: u32) -> Result<(), MhheaError> {
         check_epoch(self.epoch, epoch)?;
-        let table = build_table(&key, self.algorithm, self.profile);
-        self.rekey_with_table(key, source, epoch, table)
-    }
-
-    /// [`EncryptSession::rekey_with`] on a table the caller already
-    /// holds, which must be [`build_table`]`(&key, algorithm, profile)`
-    /// for this session's algorithm and profile.
-    pub(crate) fn rekey_with_table(
-        &mut self,
-        key: Key,
-        source: S,
-        epoch: u32,
-        table: Arc<SpanTable>,
-    ) -> Result<(), MhheaError> {
-        check_epoch(self.epoch, epoch)?;
-        self.table = table;
+        self.table = build_table(&key, self.algorithm, self.profile);
         self.key = key;
         self.source = source;
         self.cursor = StreamCursor::start();
@@ -308,14 +276,6 @@ impl<S: VectorSource> EncryptSession<S> {
     /// [`crate::LfsrSource::state`] before evicting the stream).
     pub fn source(&self) -> &S {
         &self.source
-    }
-
-    fn next_vector(&mut self) -> Result<u16, MhheaError> {
-        self.source
-            .next_vector()
-            .ok_or(MhheaError::SourceExhausted {
-                blocks_produced: self.cursor.block_index as usize,
-            })
     }
 
     /// Encrypts a byte message, advancing the cursor.
@@ -339,60 +299,14 @@ impl<S: VectorSource> EncryptSession<S> {
     ///
     /// Panics if `bit_len` exceeds `message.len() * 8`.
     pub fn encrypt_bits(&mut self, message: &[u8], bit_len: usize) -> Result<Vec<u16>, MhheaError> {
-        match self.profile {
-            Profile::Streaming => self.encrypt_streaming(message, bit_len),
-            Profile::HardwareFaithful => self.encrypt_hw(message, bit_len),
-        }
-    }
-
-    fn encrypt_streaming(
-        &mut self,
-        message: &[u8],
-        bit_len: usize,
-    ) -> Result<Vec<u16>, MhheaError> {
-        let mut reader = BitReader::with_bit_len(message, bit_len);
-        let mut blocks = Vec::with_capacity(estimated_blocks(&self.key, self.algorithm, bit_len));
-        while !reader.is_eof() {
-            let v = self.next_vector()?;
-            let e = self
-                .table
-                .entry(self.cursor.block_index as usize, (v >> 8) as u8);
-            let (bits, got) = reader.read_bits16(e.width as usize);
-            blocks.push(e.embed(v, bits, got));
-            self.cursor.block_index += 1;
-        }
-        Ok(blocks)
-    }
-
-    fn encrypt_hw(&mut self, message: &[u8], bit_len: usize) -> Result<Vec<u16>, MhheaError> {
-        let mut reader = BitReader::with_bit_len(message, bit_len);
-        let mut blocks = Vec::with_capacity(estimated_blocks(&self.key, self.algorithm, bit_len));
-        // The message cache loads 32-bit words; each supplies two 16-bit
-        // halves to the alignment buffer, least significant first
-        // (zero-padded at end of message).
-        let half_count = bit_len.div_ceil(32) * 2;
-        for _ in 0..half_count {
-            let (mut reg, _) = reader.read_bits16(16);
-            let mut consumed = self.cursor.buffered as usize;
-            while consumed < 16 {
-                let v = self.next_vector()?;
-                let e = self
-                    .table
-                    .entry(self.cursor.block_index as usize, (v >> 8) as u8);
-                // Circ state: rotate the next message bits onto the span,
-                // then blind full-span replacement (Encrypt state).
-                let aligned = word::rotl16(reg, e.lo as u32);
-                blocks.push(e.embed_aligned(v, aligned));
-                // Rotate consumed bits away: next bits return to the LSBs.
-                reg = word::rotr16(aligned, e.lo as u32 + e.width as u32);
-                consumed += e.width as usize;
-                self.cursor.block_index += 1;
-            }
-            // The buffer always drains completely (full-span replacement
-            // overshoots past 16); the next half starts fresh.
-            self.cursor.buffered = 0;
-        }
-        Ok(blocks)
+        encrypt_at(
+            &self.table,
+            self.profile,
+            &mut self.cursor,
+            &mut self.source,
+            message,
+            bit_len,
+        )
     }
 }
 
@@ -455,31 +369,14 @@ impl DecryptSession {
     /// the span table exactly once (preferred over chaining the builders
     /// when both are known up front).
     pub fn with_options(key: Key, algorithm: Algorithm, profile: Profile) -> Self {
-        let table = build_table(&key, algorithm, profile);
-        Self::with_table(key, algorithm, profile, table)
-    }
-
-    /// [`DecryptSession::with_options`] on a table the caller already
-    /// holds, which must be [`build_table`]`(&key, algorithm, profile)`.
-    pub(crate) fn with_table(
-        key: Key,
-        algorithm: Algorithm,
-        profile: Profile,
-        table: Arc<SpanTable>,
-    ) -> Self {
         DecryptSession {
-            table,
+            table: build_table(&key, algorithm, profile),
             algorithm,
             profile,
             cursor: StreamCursor::start(),
             key,
             epoch: 0,
         }
-    }
-
-    /// The span table this session runs on.
-    pub(crate) fn table(&self) -> &Arc<SpanTable> {
-        &self.table
     }
 
     /// Selects the cipher variant (must match the encrypt side).
@@ -503,8 +400,7 @@ impl DecryptSession {
         self.cursor
     }
 
-    /// Resets the cursor to the stream origin (used by the single-shot
-    /// [`crate::Decryptor`]).
+    /// Resets the cursor to the stream origin.
     pub fn rewind(&mut self) {
         self.cursor = StreamCursor::start();
     }
@@ -539,21 +435,7 @@ impl DecryptSession {
     /// the current epoch.
     pub fn rekey_with(&mut self, key: Key, epoch: u32) -> Result<(), MhheaError> {
         check_epoch(self.epoch, epoch)?;
-        let table = build_table(&key, self.algorithm, self.profile);
-        self.rekey_with_table(key, epoch, table)
-    }
-
-    /// [`DecryptSession::rekey_with`] on a table the caller already
-    /// holds, which must be [`build_table`]`(&key, algorithm, profile)`
-    /// for this session's algorithm and profile.
-    pub(crate) fn rekey_with_table(
-        &mut self,
-        key: Key,
-        epoch: u32,
-        table: Arc<SpanTable>,
-    ) -> Result<(), MhheaError> {
-        check_epoch(self.epoch, epoch)?;
-        self.table = table;
+        self.table = build_table(&key, self.algorithm, self.profile);
         self.key = key;
         self.cursor = StreamCursor::start();
         self.epoch = epoch;
@@ -578,20 +460,85 @@ impl DecryptSession {
     /// # Errors
     ///
     /// Returns [`MhheaError::CiphertextTruncated`] when the blocks carry
-    /// fewer than `bit_len` bits.
+    /// fewer than `bit_len` bits; the cursor does not move.
     pub fn decrypt(&mut self, blocks: &[u16], bit_len: usize) -> Result<Vec<u8>, MhheaError> {
-        let mut cursor = self.cursor;
-        let result = decrypt_at(&self.table, self.profile, &mut cursor, blocks, bit_len);
-        if result.is_ok() {
-            self.cursor = cursor;
-        }
-        result
+        decrypt_at(&self.table, self.profile, &mut self.cursor, blocks, bit_len)
     }
 }
 
-/// The word-level decrypt hot path, shared by [`DecryptSession`] and the
-/// single-shot [`crate::Decryptor`] (which replays from a fresh cursor on
-/// every call instead of mutating a session).
+/// The next hiding vector, or [`MhheaError::SourceExhausted`] at `cursor`.
+#[inline]
+fn next_vector(source: &mut impl VectorSource, cursor: &StreamCursor) -> Result<u16, MhheaError> {
+    source.next_vector().ok_or(MhheaError::SourceExhausted {
+        blocks_produced: cursor.block_index as usize,
+    })
+}
+
+/// The encrypt kernel, which every encrypting caller runs: seals the
+/// first `bit_len` bits of `message` from stream position `cursor`, one
+/// hiding vector from `source` per block, and advances `cursor` past
+/// every block it produced (on [`MhheaError::SourceExhausted`] too).
+///
+/// # Panics
+///
+/// Panics if `bit_len` exceeds `message.len() * 8`.
+pub(crate) fn encrypt_at(
+    table: &SpanTable,
+    profile: Profile,
+    cursor: &mut StreamCursor,
+    source: &mut impl VectorSource,
+    message: &[u8],
+    bit_len: usize,
+) -> Result<Vec<u16>, MhheaError> {
+    let mut reader = BitReader::with_bit_len(message, bit_len);
+    let mut blocks = Vec::with_capacity(table.estimated_blocks(bit_len));
+    match profile {
+        Profile::Streaming => {
+            while !reader.is_eof() {
+                let v = next_vector(source, cursor)?;
+                let e = table.entry(cursor.block_index as usize, (v >> 8) as u8);
+                let (bits, got) = reader.read_bits16(e.width as usize);
+                blocks.push(e.embed(v, bits, got));
+                cursor.block_index += 1;
+            }
+        }
+        Profile::HardwareFaithful => {
+            // The message cache loads 32-bit words; each supplies two
+            // 16-bit halves to the alignment buffer, least significant
+            // first (zero-padded at end of message).
+            let half_count = bit_len.div_ceil(32) * 2;
+            for _ in 0..half_count {
+                let (mut reg, _) = reader.read_bits16(16);
+                let mut consumed = cursor.buffered as usize;
+                while consumed < 16 {
+                    let v = next_vector(source, cursor)?;
+                    let e = table.entry(cursor.block_index as usize, (v >> 8) as u8);
+                    // Circ state: rotate the next message bits onto the
+                    // span, then blind full-span replacement (Encrypt
+                    // state).
+                    let aligned = word::rotl16(reg, e.lo as u32);
+                    blocks.push(e.embed_aligned(v, aligned));
+                    // Rotate consumed bits away: next bits return to the
+                    // LSBs.
+                    reg = word::rotr16(aligned, e.lo as u32 + e.width as u32);
+                    consumed += e.width as usize;
+                    cursor.block_index += 1;
+                }
+                // The buffer always drains completely (full-span
+                // replacement overshoots past 16); the next half starts
+                // fresh.
+                cursor.buffered = 0;
+            }
+        }
+    }
+    Ok(blocks)
+}
+
+/// The decrypt kernel, which every decrypting caller runs: recovers
+/// `bit_len` message bits from one message's cipher blocks at stream
+/// position `cursor`. On success `cursor` moves past every block; on
+/// [`MhheaError::CiphertextTruncated`] it does not move, so a caller may
+/// retry the message with its full blocks.
 pub(crate) fn decrypt_at(
     table: &SpanTable,
     profile: Profile,
@@ -602,6 +549,7 @@ pub(crate) fn decrypt_at(
     let mut writer = BitWriter::new();
     let mut recovered = 0usize;
     let base = cursor.block_index;
+    let mut consumed = cursor.buffered as usize;
     match profile {
         Profile::Streaming => {
             for (i, &cipher) in blocks.iter().enumerate() {
@@ -617,7 +565,6 @@ pub(crate) fn decrypt_at(
             }
         }
         Profile::HardwareFaithful => {
-            let mut consumed = cursor.buffered as usize;
             for (i, &cipher) in blocks.iter().enumerate() {
                 let e = table.entry((base + i as u64) as usize, (cipher >> 8) as u8);
                 // Only the first `fresh` span positions carry new message
@@ -634,17 +581,18 @@ pub(crate) fn decrypt_at(
                     consumed = 0;
                 }
             }
-            cursor.buffered = consumed as u8;
         }
     }
-    // Every supplied block advances the schedule — the encrypt side
-    // produced all of them for this message, even past the `bit_len` cap.
-    cursor.block_index = base + blocks.len() as u64;
     if recovered < bit_len {
         return Err(MhheaError::CiphertextTruncated {
             got_bits: recovered,
             want_bits: bit_len,
         });
     }
+    // Every supplied block advances the schedule — the encrypt side
+    // produced all of them for this message, even past the `bit_len` cap.
+    // The streaming arm never touches `consumed`.
+    cursor.block_index = base + blocks.len() as u64;
+    cursor.buffered = consumed as u8;
     Ok(writer.into_bytes())
 }

@@ -79,14 +79,20 @@ pub fn expansion_factor(key: &Key, algorithm: Algorithm) -> f64 {
 }
 
 /// Estimated cipher-block count for a `bit_len`-bit message — `bit_len /
-/// E[span]` plus one cycle of slack. The sessions use it to pre-size block
-/// buffers (it is an estimate, not a bound: a pathological vector sequence
-/// can exceed it, and `Vec` absorbs the difference).
+/// E[span]` plus one cycle of slack. The encrypt kernel pre-sizes its
+/// block buffer with the same estimate, read off its span table (it is an
+/// estimate, not a bound: a pathological vector sequence can exceed it,
+/// and `Vec` absorbs the difference).
 pub fn estimated_blocks(key: &Key, algorithm: Algorithm, bit_len: usize) -> usize {
+    blocks_for(bit_len, expected_span_key(key, algorithm), key.len())
+}
+
+/// `bit_len / expected_span` rounded up, plus `slack` (0 for no bits).
+pub(crate) fn blocks_for(bit_len: usize, expected_span: f64, slack: usize) -> usize {
     if bit_len == 0 {
         return 0;
     }
-    (bit_len as f64 / expected_span_key(key, algorithm)).ceil() as usize + key.len()
+    (bit_len as f64 / expected_span).ceil() as usize + slack
 }
 
 /// The paper's throughput formula: `bits_per_period / min_period`.
@@ -187,6 +193,20 @@ mod tests {
         let est = estimated_blocks(&key, Algorithm::Mhhea, msg.len() * 8);
         let ratio = blocks.len() as f64 / est as f64;
         assert!((0.9..=1.1).contains(&ratio), "ratio {ratio}");
+    }
+
+    /// The encrypt kernel pre-sizes from its span table: on the streaming
+    /// schedule, the same estimate as the key-level formula.
+    #[test]
+    fn span_table_estimate_matches_the_key_formula() {
+        let key = Key::from_nibbles(&[(0, 7), (3, 3), (2, 5), (6, 1), (4, 4)]).unwrap();
+        for algorithm in [Algorithm::Hhea, Algorithm::Mhhea] {
+            let table = crate::block::SpanTable::new(&key, algorithm);
+            for bits in [0, 1, 13, 900, 1 << 17] {
+                let want = estimated_blocks(&key, algorithm, bits);
+                assert_eq!(table.estimated_blocks(bits), want, "{algorithm} {bits}");
+            }
+        }
     }
 
     #[test]

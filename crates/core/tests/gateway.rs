@@ -285,6 +285,60 @@ fn decrypt_batch_poison_leaves_shardmates_bit_exact() {
     assert_same_states(&victim, &control);
 }
 
+/// A truncated decrypt fails without moving the stream, in both profiles
+/// and through both entry points (`StreamMux::decrypt` and a
+/// `StreamOp::Decrypt`): after every failure the stream evicts to the
+/// same bytes as a control mux that never saw it, and the full blocks
+/// then open bit-exactly.
+#[test]
+fn failed_decrypt_moves_no_cursor_in_either_profile() {
+    let id = StreamId(4);
+    // Whole 32-bit words, so in the hardware profile every block carries
+    // a message bit and dropping any block truncates.
+    let (first, second) = (b"moves the cursor", b"second message cut short");
+    let bit_len = second.len() * 8;
+    for profile in [Profile::Streaming, Profile::HardwareFaithful] {
+        let (tx, rx) = duplex_pair([4].into_iter(), profile);
+        let (_, control) = duplex_pair([4].into_iter(), profile);
+        let blocks = tx.encrypt(id, first).unwrap();
+        for mux in [&rx, &control] {
+            assert_eq!(mux.decrypt(id, &blocks, first.len() * 8).unwrap(), first);
+        }
+        let blocks = tx.encrypt(id, second).unwrap();
+        for cut in [0, 1, 3, blocks.len() - 1] {
+            let short = &blocks[..cut];
+            let truncated = |e: Option<&GatewayError>| {
+                matches!(
+                    e,
+                    Some(GatewayError::Engine(MhheaError::CiphertextTruncated { .. }))
+                )
+            };
+            let single = rx.decrypt(id, short, bit_len);
+            assert!(
+                truncated(single.as_ref().err()),
+                "{profile} cut {cut}: {single:?}"
+            );
+            let op = StreamOp::Decrypt {
+                blocks: short.to_vec(),
+                bit_len,
+            };
+            let batched = rx.submit_batch(vec![(id, op)]);
+            assert!(
+                truncated(batched[0].as_ref().err()),
+                "{profile} cut {cut}: {batched:?}"
+            );
+            let snapshot = rx.evict(id).unwrap();
+            assert_eq!(snapshot, control.evict(id).unwrap(), "{profile} cut {cut}");
+            rx.restore(&snapshot).unwrap();
+            control.restore(&snapshot).unwrap();
+        }
+        for mux in [&rx, &control] {
+            assert_eq!(mux.decrypt(id, &blocks, bit_len).unwrap(), second);
+        }
+        assert_eq!(rx.evict(id).unwrap(), control.evict(id).unwrap());
+    }
+}
+
 /// Unknown stream ids inside a mixed `submit_batch` fail their own slots
 /// only, in both directions.
 #[test]

@@ -4,11 +4,52 @@
 use mhhea::container::{
     open, open_v2_with, parse_header_v2, seal, seal_v2, SealOptions, SealV2Options,
 };
-use mhhea::session::{DecryptSession, EncryptSession};
-use mhhea::{Algorithm, Key, LfsrSource, Profile};
+use mhhea::session::{DecryptSession, EncryptSession, StreamCursor};
+use mhhea::{Algorithm, Key, LfsrSource, MhheaError, Profile};
 
 fn multi_pair_key() -> Key {
     Key::from_nibbles(&[(0, 3), (2, 5), (7, 1), (4, 4), (6, 0)]).unwrap()
+}
+
+/// A decrypt that fails on truncated blocks leaves the cursor where it
+/// was — block index and buffered bits — in both profiles, and the full
+/// blocks then open bit-exactly.
+#[test]
+fn failed_decrypt_moves_no_cursor_in_either_profile() {
+    // Whole 32-bit words, so in the hardware profile every block carries
+    // a message bit and dropping any block truncates.
+    let (first, second) = (b"moves the cursor", b"second message cut short");
+    for profile in [Profile::Streaming, Profile::HardwareFaithful] {
+        let source = LfsrSource::new(0xACE1).unwrap();
+        let mut enc =
+            EncryptSession::with_options(multi_pair_key(), source, Algorithm::Mhhea, profile);
+        let mut dec = DecryptSession::with_options(multi_pair_key(), Algorithm::Mhhea, profile);
+        let blocks = enc.encrypt(first).unwrap();
+        dec.decrypt(&blocks, first.len() * 8).unwrap();
+        let before = dec.cursor();
+        assert_ne!(before, StreamCursor::start());
+
+        let blocks = enc.encrypt(second).unwrap();
+        for cut in [0, 1, 3, blocks.len() - 1] {
+            let err = dec.decrypt(&blocks[..cut], second.len() * 8).unwrap_err();
+            assert!(
+                matches!(err, MhheaError::CiphertextTruncated { .. }),
+                "{profile} cut {cut}: {err}"
+            );
+            assert_eq!(
+                dec.cursor().block_index,
+                before.block_index,
+                "{profile} cut {cut}"
+            );
+            assert_eq!(
+                dec.cursor().buffered,
+                before.buffered,
+                "{profile} cut {cut}"
+            );
+        }
+        assert_eq!(dec.decrypt(&blocks, second.len() * 8).unwrap(), second);
+        assert_eq!(dec.cursor(), enc.cursor());
+    }
 }
 
 /// The seed-code desync: message two (and every one after) garbles unless

@@ -6,7 +6,7 @@
 //! workspace. This facade crate re-exports every member so examples and
 //! downstream users can depend on one crate.
 //!
-//! * [`bitkit`] — bit vectors and LSB-first bit streams.
+//! * [`bitkit`] — LSB-first bit streams and 16-bit word helpers.
 //! * [`lfsr`] — maximal-length LFSRs, leap-forward matrices, randomness
 //!   tests.
 //! * [`rtl`] — gate-level netlists, four-state simulation, waveforms and

@@ -40,8 +40,8 @@ fn facade_hw_sw_equivalence_round() {
 #[test]
 fn facade_reexports_every_member() {
     // One cheap touch per re-exported crate.
-    let v = mhhea_suite::bitkit::BitVec::from_u64(0x48D0, 16);
-    assert_eq!(v.rotate_left(2).rotate_right(2), v);
+    let v = mhhea_suite::bitkit::word::rotl16(0x48D0, 2);
+    assert_eq!(mhhea_suite::bitkit::word::rotr16(v, 2), 0x48D0);
 
     let mut lfsr = mhhea_suite::lfsr::Fibonacci::from_table(16, 0xACE1).unwrap();
     let s0 = lfsr.state();
