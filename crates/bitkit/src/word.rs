@@ -40,8 +40,8 @@ pub fn rotr16(v: u16, n: u32) -> u16 {
 /// // V[11 downto 8] of 0xCA06 = 0b1010
 /// assert_eq!(bitkit::word::field16(0xCA06, 8, 11), 0b1010);
 /// ```
-pub fn field16(v: u16, lo: u32, hi: u32) -> u16 {
-    assert!(lo <= hi && hi <= 15, "invalid field {lo}..={hi}");
+pub const fn field16(v: u16, lo: u32, hi: u32) -> u16 {
+    assert!(lo <= hi && hi <= 15, "invalid field");
     let width = hi - lo + 1;
     let mask = if width == 16 {
         u16::MAX
@@ -93,8 +93,8 @@ pub fn bit16(v: u16, i: u32) -> bool {
 /// assert_eq!(bitkit::word::low_mask16(4), 0x000F);
 /// assert_eq!(bitkit::word::low_mask16(16), 0xFFFF);
 /// ```
-pub fn low_mask16(n: usize) -> u16 {
-    assert!(n <= 16, "mask width {n} exceeds 16");
+pub const fn low_mask16(n: usize) -> u16 {
+    assert!(n <= 16, "mask width exceeds 16");
     if n == 16 {
         u16::MAX
     } else {
@@ -116,8 +116,8 @@ pub fn low_mask16(n: usize) -> u16 {
 /// assert_eq!(bitkit::word::mask16(2, 5), 0b0011_1100);
 /// assert_eq!(bitkit::word::mask16(0, 15), 0xFFFF);
 /// ```
-pub fn mask16(lo: u32, hi: u32) -> u16 {
-    assert!(lo <= hi && hi <= 15, "invalid field {lo}..={hi}");
+pub const fn mask16(lo: u32, hi: u32) -> u16 {
+    assert!(lo <= hi && hi <= 15, "invalid field");
     low_mask16((hi - lo + 1) as usize) << lo
 }
 

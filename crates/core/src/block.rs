@@ -10,9 +10,11 @@
 //! * the **per-bit** reference ([`embed`]/[`extract`]), a literal
 //!   transcription of the pseudocode used by tests and cross-checks;
 //! * the **word-level** fast path ([`SpanTable`]/[`SpanEntry`]): the span
-//!   location and XOR pattern depend only on the key pair and the vector's
-//!   high byte, so both are precomputed into a 256-entry table per pair
-//!   and each block becomes a handful of shift/mask operations on `u16`s.
+//!   location and XOR pattern depend only on the algorithm, the ordered
+//!   key pair (64 values) and the vector's high byte, so the reference
+//!   formulas below are evaluated once, at compile time, into one static
+//!   table of every entry (2 × 64 × 256, 192 KiB), and each block becomes
+//!   a handful of shift/mask operations on `u16`s.
 
 use crate::key::MAX_PAIRS;
 use crate::{Algorithm, Key, KeyPair};
@@ -46,17 +48,21 @@ pub struct BlockOutcome {
 /// let pair = KeyPair::new(0, 3).unwrap();
 /// assert_eq!(scramble_locations(pair, 0xCA06), (2, 5));
 /// ```
-pub fn scramble_locations(pair: KeyPair, v: u16) -> (u8, u8) {
+pub const fn scramble_locations(pair: KeyPair, v: u16) -> (u8, u8) {
     let (k1, k2) = pair.sorted();
     let slice = word::field16(v, k1 as u32 + 8, k2 as u32 + 8) as u8;
     let kn1 = (slice ^ k1) & 0x7;
     let kn2 = (kn1 + (k2 - k1)) % 8;
-    (kn1.min(kn2), kn1.max(kn2))
+    if kn1 <= kn2 {
+        (kn1, kn2)
+    } else {
+        (kn2, kn1)
+    }
 }
 
 /// The replacement span for `algorithm`: HHEA uses the sorted key pair
 /// directly; MHHEA scrambles it with the vector's high byte.
-pub fn locations(algorithm: Algorithm, pair: KeyPair, v: u16) -> (u8, u8) {
+pub const fn locations(algorithm: Algorithm, pair: KeyPair, v: u16) -> (u8, u8) {
     match algorithm {
         Algorithm::Hhea => pair.sorted(),
         Algorithm::Mhhea => scramble_locations(pair, v),
@@ -65,7 +71,7 @@ pub fn locations(algorithm: Algorithm, pair: KeyPair, v: u16) -> (u8, u8) {
 
 /// The data-scrambling bit: bit `offset mod 3` of the smaller key half
 /// (the pseudocode's `Ki,1[q]`, `q := q mod 3`). HHEA never scrambles.
-pub fn pattern_bit(algorithm: Algorithm, pair: KeyPair, offset: usize) -> bool {
+pub const fn pattern_bit(algorithm: Algorithm, pair: KeyPair, offset: usize) -> bool {
     match algorithm {
         Algorithm::Hhea => false,
         Algorithm::Mhhea => {
@@ -143,12 +149,14 @@ pub struct SpanEntry {
 }
 
 impl SpanEntry {
-    fn new(algorithm: Algorithm, pair: KeyPair, high_byte: u8) -> Self {
+    const fn new(algorithm: Algorithm, pair: KeyPair, high_byte: u8) -> Self {
         let (lo, hi) = locations(algorithm, pair, (high_byte as u16) << 8);
         let width = hi - lo + 1;
         let mut pattern = 0u16;
-        for j in 0..width {
+        let mut j = 0;
+        while j < width {
             pattern |= (pattern_bit(algorithm, pair, j as usize) as u16) << (lo + j);
+            j += 1;
         }
         SpanEntry {
             lo,
@@ -183,63 +191,120 @@ impl SpanEntry {
     }
 }
 
-/// Per-pair span tables for a whole key schedule.
+/// Every span entry and its row's width total, evaluated once from the
+/// reference formulas above.
+struct Spans {
+    /// `rows[a][p][hb]`: algorithm `a` (HHEA 0, MHHEA 1), ordered pair
+    /// index `p` ([`KeyPair::index`]), vector high byte `hb`.
+    rows: [[[SpanEntry; 256]; 64]; 2],
+    /// The sum of each row's 256 span widths.
+    widths: [[u16; 64]; 2],
+}
+
+/// The one span table, the software analogue of the paper's fixed
+/// location logic. A `static`, not a `const`: a `const` this size would
+/// be copied into every use site.
+static SPANS: Spans = build_spans();
+
+const fn build_spans() -> Spans {
+    const EMPTY: SpanEntry = SpanEntry {
+        lo: 0,
+        width: 0,
+        pattern: 0,
+        mask: 0,
+    };
+    let mut spans = Spans {
+        rows: [[[EMPTY; 256]; 64]; 2],
+        widths: [[0; 64]; 2],
+    };
+    let mut a = 0;
+    while a < 2 {
+        let algorithm = if a == 0 {
+            Algorithm::Hhea
+        } else {
+            Algorithm::Mhhea
+        };
+        let mut p = 0;
+        while p < 64 {
+            let pair = KeyPair::from_index(p);
+            let mut hb = 0;
+            while hb < 256 {
+                let e = SpanEntry::new(algorithm, pair, hb as u8);
+                spans.rows[a][p][hb] = e;
+                spans.widths[a][p] += e.width as u16;
+                hb += 1;
+            }
+            p += 1;
+        }
+        a += 1;
+    }
+    spans
+}
+
+/// A key schedule's view of the static span table: one 256-entry row per
+/// schedule position.
 ///
 /// `table.entry(i, hb)` is the span for block index `i` (cycling through
-/// the schedule) and hiding-vector high byte `hb`. Building a table costs
-/// `256 × schedule length` [`scramble_locations`] evaluations (6 bytes per
-/// entry, so 1.5 KiB per key pair); after that the engines never
-/// recompute a span. A table depends only on the key, algorithm and
-/// profile and is never mutated, so sessions hold it behind an `Arc`:
-/// an encrypt/decrypt pair shares one, and a
-/// [`StreamMux`](crate::gateway::StreamMux) shares one across every
-/// stream on the same key.
-#[derive(Debug, Clone)]
+/// the schedule) and hiding-vector high byte `hb`. A table is a heap-free
+/// `Copy` value of up to [`MAX_PAIRS`] row references into one
+/// compile-time table of every `(algorithm, pair, high byte)` entry, so
+/// building one allocates nothing and computes no span; the kernels build
+/// one per call from the key, algorithm and profile.
+#[derive(Debug, Clone, Copy)]
 pub struct SpanTable {
-    /// One 256-entry table per schedule position.
-    per_pair: Vec<[SpanEntry; 256]>,
-    /// Mean span width over all entries (the high byte is uniform).
-    expected_span: f64,
+    /// The row of each schedule position; only the first `len` are read.
+    rows: [&'static [SpanEntry; 256]; MAX_PAIRS],
+    /// Number of schedule positions (`1..=MAX_PAIRS`).
+    len: usize,
+    /// Sum of the span widths of the first `len` rows.
+    widths: u32,
 }
 
 impl SpanTable {
-    /// Builds the table for `key`'s pair cycle under `algorithm`.
+    /// The table for `key`'s pair cycle under `algorithm`.
     pub fn new(key: &Key, algorithm: Algorithm) -> Self {
-        let per_pair: Vec<[SpanEntry; 256]> = key
-            .pairs()
-            .iter()
-            .map(|&pair| core::array::from_fn(|hb| SpanEntry::new(algorithm, pair, hb as u8)))
-            .collect();
-        let widths: u32 = per_pair.iter().flatten().map(|e| e.width as u32).sum();
-        let expected_span = widths as f64 / (256 * per_pair.len()) as f64;
-        SpanTable {
-            per_pair,
-            expected_span,
-        }
+        SpanTable::schedule(key, algorithm, key.len())
     }
 
-    /// The table for the hardware key schedule ([`Key::expand_cyclic`] to
-    /// the 16-deep key cache).
+    /// The table for the hardware key schedule: the key cycled out to the
+    /// 16-deep key cache (as [`Key::expand_cyclic`] does).
     pub fn new_hw(key: &Key, algorithm: Algorithm) -> Self {
-        SpanTable::new(&key.expand_cyclic(MAX_PAIRS), algorithm)
+        SpanTable::schedule(key, algorithm, MAX_PAIRS)
+    }
+
+    /// `key` cycled out to `len ≤ MAX_PAIRS` positions.
+    fn schedule(key: &Key, algorithm: Algorithm, len: usize) -> Self {
+        let all = &SPANS.rows[algorithm as usize];
+        let widths = &SPANS.widths[algorithm as usize];
+        let cycle = || key.pairs().iter().cycle().map(|pair| pair.index());
+        let mut rows = [&all[0]; MAX_PAIRS];
+        for (row, p) in rows.iter_mut().zip(cycle()) {
+            *row = &all[p];
+        }
+        SpanTable {
+            rows,
+            len,
+            widths: cycle().take(len).map(|p| widths[p] as u32).sum(),
+        }
     }
 
     /// Number of schedule positions.
     pub fn schedule_len(&self) -> usize {
-        self.per_pair.len()
+        self.len
     }
 
     /// [`crate::stats::estimated_blocks`] read off the table; the encrypt
     /// kernel pre-sizes its output with it.
     pub(crate) fn estimated_blocks(&self, bit_len: usize) -> usize {
-        crate::stats::blocks_for(bit_len, self.expected_span, self.per_pair.len())
+        let expected_span = self.widths as f64 / (256 * self.len) as f64;
+        crate::stats::blocks_for(bit_len, expected_span, self.len)
     }
 
     /// The span for block index `block_index` and vector high byte
     /// `high_byte`.
     #[inline]
     pub fn entry(&self, block_index: usize, high_byte: u8) -> SpanEntry {
-        self.per_pair[block_index % self.per_pair.len()][high_byte as usize]
+        self.rows[block_index % self.len][high_byte as usize]
     }
 }
 
@@ -365,31 +430,39 @@ mod tests {
         assert_eq!(extract(Algorithm::Hhea, p, 0x00FF, 0), Vec::<bool>::new());
     }
 
+    /// Every entry of the static table — each algorithm, ordered pair and
+    /// high byte — against the per-bit reference, at every consumed count
+    /// from 0 to the span width.
     #[test]
     fn span_entries_match_per_bit_primitives() {
-        let key = crate::Key::from_nibbles(&[(0, 3), (7, 2), (4, 4), (0, 7)]).unwrap();
         for alg in [Algorithm::Hhea, Algorithm::Mhhea] {
-            let table = SpanTable::new(&key, alg);
-            assert_eq!(table.schedule_len(), key.len());
-            for i in 0..key.len() {
-                for hb in [0x00u8, 0x5A, 0xCA, 0xFF] {
-                    let v = ((hb as u16) << 8) | 0x36;
-                    let e = table.entry(i, hb);
-                    let (lo, hi) = locations(alg, key.pair(i), v);
-                    assert_eq!((e.lo, e.lo + e.width - 1), (lo, hi));
-                    // Full-width embed agrees with the per-bit reference.
-                    let message = [true, false, true, true, false, false, true, true];
-                    let mut it = message.into_iter();
-                    let per_bit = embed(alg, key.pair(i), v, &mut it);
-                    let mut word_bits = 0u16;
-                    for (j, &m) in message.iter().take(per_bit.consumed).enumerate() {
-                        word_bits |= (m as u16) << j;
+            for l in 0..=7u8 {
+                for r in 0..=7u8 {
+                    let p = pair(l, r);
+                    let table = SpanTable::new(&Key::new(vec![p]).unwrap(), alg);
+                    for hb in 0..=255u8 {
+                        let v = ((hb as u16) << 8) | (hb ^ 0x36) as u16;
+                        let e = table.entry(0, hb);
+                        let (lo, hi) = locations(alg, p, v);
+                        let at = format!("alg={alg} pair=({l},{r}) hb={hb:02x}");
+                        assert_eq!((e.lo, e.lo + e.width - 1), (lo, hi), "{at}");
+                        assert_eq!(e.mask, word::mask16(lo as u32, hi as u32), "{at}");
+                        let bits = (hb ^ 0xA5) as u16;
+                        let message: Vec<bool> = (0..8).map(|j| (bits >> j) & 1 == 1).collect();
+                        for consumed in 0..=e.width as usize {
+                            let mut it = message[..consumed].iter().copied();
+                            let per_bit = embed(alg, p, v, &mut it);
+                            assert_eq!(per_bit.consumed, consumed, "{at}");
+                            let taken = bits & word::low_mask16(consumed);
+                            let cipher = e.embed(v, taken, consumed);
+                            assert_eq!(cipher, per_bit.cipher, "{at} consumed={consumed}");
+                            assert_eq!(extract(alg, p, cipher, consumed), message[..consumed]);
+                            assert_eq!(e.extract(cipher, consumed), taken, "{at}");
+                        }
+                        // The hardware profile's full-span replacement.
+                        let full = e.embed(v, bits, e.width as usize);
+                        assert_eq!(e.embed_aligned(v, bits << e.lo), full, "{at}");
                     }
-                    let word_cipher = e.embed(v, word_bits, per_bit.consumed);
-                    assert_eq!(word_cipher, per_bit.cipher, "alg={alg} i={i} hb={hb:02x}");
-                    // And extraction inverts it.
-                    let got = e.extract(word_cipher, per_bit.consumed);
-                    assert_eq!(got, word_bits);
                 }
             }
         }

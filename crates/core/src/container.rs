@@ -55,7 +55,7 @@
 use bitkit::{le_u16, le_u32, le_u64};
 
 use crate::pipeline::{chunk_ranges, chunk_seed, parallel_map, DEFAULT_CHUNK_BYTES};
-use crate::session::{build_table, decrypt_at, encrypt_at, StreamCursor};
+use crate::session::{decrypt_at, encrypt_at, StreamCursor};
 use crate::source::LfsrSource;
 use crate::{Algorithm, Key, MhheaError, Profile};
 
@@ -182,11 +182,11 @@ impl Default for SealOptions {
 pub fn seal(key: &Key, message: &[u8], opts: &SealOptions) -> Result<Vec<u8>, ContainerError> {
     let mut source = LfsrSource::new(opts.lfsr_seed)
         .map_err(|_| ContainerError::Engine(MhheaError::InvalidSeed))?;
-    let table = build_table(key, opts.algorithm, opts.profile);
     let bit_len = message.len() * 8;
     let mut origin = StreamCursor::start();
     let blocks = encrypt_at(
-        &table,
+        key,
+        opts.algorithm,
         opts.profile,
         &mut origin,
         &mut source,
@@ -265,22 +265,23 @@ pub fn seal_v2(key: &Key, message: &[u8], opts: &SealV2Options) -> Result<Vec<u8
     let chunk_lens: Vec<usize> = ranges.iter().map(std::ops::Range::len).collect();
 
     // Pool jobs outlive this stack frame, so each chunk owns its bytes
-    // (one payload-sized copy total). Every chunk runs on one shared span
-    // table from the stream origin, with its own LFSR source.
+    // (one payload-sized copy total) and the jobs share one key copy.
+    // Every chunk runs from the stream origin, with its own LFSR source.
     let jobs: Vec<(u32, Vec<u8>)> = ranges
         .into_iter()
         .enumerate()
         .map(|(i, r)| (i as u32, message[r].to_vec()))
         .collect();
-    let (profile, master_seed) = (opts.profile, opts.master_seed);
-    let table = build_table(key, opts.algorithm, profile);
+    let (algorithm, profile, master_seed) = (opts.algorithm, opts.profile, opts.master_seed);
+    let shared = key.clone();
     let sealed: Vec<Result<Vec<u16>, MhheaError>> =
         parallel_map(jobs, opts.workers, move |_, (index, chunk)| {
             let seed = chunk_seed(master_seed, index);
             let mut source = LfsrSource::new(seed).expect("derived seeds are nonzero");
             let mut origin = StreamCursor::start();
             encrypt_at(
-                &table,
+                &shared,
+                algorithm,
                 profile,
                 &mut origin,
                 &mut source,
@@ -440,10 +441,10 @@ fn open_v1(key: &Key, bytes: &[u8]) -> Result<Vec<u8>, ContainerError> {
         .chunks_exact(2)
         .map(|c| u16::from_le_bytes([c[0], c[1]]))
         .collect();
-    let table = build_table(key, header.algorithm, header.profile);
     let mut origin = StreamCursor::start();
     Ok(decrypt_at(
-        &table,
+        key,
+        header.algorithm,
         header.profile,
         &mut origin,
         &blocks,
@@ -516,12 +517,12 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
 
     // Each chunk was sealed independently from the stream origin, so
     // chunks decrypt in any order on any thread, each from a fresh cursor
-    // on one shared span table. The hiding vectors travel inside the
+    // on one shared key copy. The hiding vectors travel inside the
     // blocks themselves — the decrypt side never re-derives the per-chunk
     // seeds (the master seed in the header exists so a holder of the key
     // can reproduce the seal bit-for-bit).
-    let profile = header.profile;
-    let table = build_table(key, header.algorithm, profile);
+    let (algorithm, profile) = (header.algorithm, header.profile);
+    let shared = key.clone();
     let opened: Vec<Result<Vec<u8>, MhheaError>> =
         parallel_map(frames, workers, move |_, (_index, bit_len, body)| {
             let blocks: Vec<u16> = body
@@ -529,7 +530,7 @@ pub fn open_v2_with(key: &Key, bytes: &[u8], workers: usize) -> Result<Vec<u8>, 
                 .map(|c| u16::from_le_bytes([c[0], c[1]]))
                 .collect();
             let mut origin = StreamCursor::start();
-            decrypt_at(&table, profile, &mut origin, &blocks, bit_len)
+            decrypt_at(&shared, algorithm, profile, &mut origin, &blocks, bit_len)
         });
 
     // A chunk yields at most one plaintext byte per two sealed bytes, so

@@ -32,10 +32,7 @@
 //! [`crate::block`] and [`crate::session`]); the per-bit reference
 //! formulation is [`crate::block::embed`]/[`crate::block::extract`].
 
-use std::sync::Arc;
-
-use crate::block::SpanTable;
-use crate::session::{build_table, decrypt_at, EncryptSession, StreamCursor};
+use crate::session::{decrypt_at, EncryptSession, StreamCursor};
 use crate::source::VectorSource;
 use crate::{Algorithm, Key, MhheaError};
 
@@ -183,7 +180,6 @@ impl<S: VectorSource> Encryptor<S> {
 #[derive(Debug, Clone)]
 pub struct Decryptor {
     key: Key,
-    table: Arc<SpanTable>,
     algorithm: Algorithm,
     profile: Profile,
 }
@@ -191,28 +187,25 @@ pub struct Decryptor {
 impl Decryptor {
     /// Creates an MHHEA decryptor in the streaming profile.
     pub fn new(key: Key) -> Self {
-        Decryptor::build(key, Algorithm::Mhhea, Profile::Streaming)
-    }
-
-    fn build(key: Key, algorithm: Algorithm, profile: Profile) -> Self {
         Decryptor {
-            table: build_table(&key, algorithm, profile),
             key,
-            algorithm,
-            profile,
+            algorithm: Algorithm::Mhhea,
+            profile: Profile::Streaming,
         }
     }
 
     /// Selects the cipher variant.
     #[must_use]
-    pub fn with_algorithm(self, algorithm: Algorithm) -> Self {
-        Decryptor::build(self.key, algorithm, self.profile)
+    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
+        self.algorithm = algorithm;
+        self
     }
 
     /// Selects the buffering profile (must match the encryptor).
     #[must_use]
-    pub fn with_profile(self, profile: Profile) -> Self {
-        Decryptor::build(self.key, self.algorithm, profile)
+    pub fn with_profile(mut self, profile: Profile) -> Self {
+        self.profile = profile;
+        self
     }
 
     /// Recovers `bit_len` message bits from cipher blocks, returned as
@@ -226,7 +219,14 @@ impl Decryptor {
     /// fewer than `bit_len` bits.
     pub fn decrypt(&self, blocks: &[u16], bit_len: usize) -> Result<Vec<u8>, MhheaError> {
         let mut origin = StreamCursor::start();
-        decrypt_at(&self.table, self.profile, &mut origin, blocks, bit_len)
+        decrypt_at(
+            &self.key,
+            self.algorithm,
+            self.profile,
+            &mut origin,
+            blocks,
+            bit_len,
+        )
     }
 }
 

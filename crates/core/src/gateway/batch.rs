@@ -6,10 +6,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::{
-    lock_shard, GatewayError, StreamId, StreamMux, StreamOp, StreamOutput, StreamState,
-    TableInterner,
-};
+use super::{lock_shard, GatewayError, StreamId, StreamMux, StreamOp, StreamOutput, StreamState};
 use crate::pipeline::WorkerPool;
 
 /// One shard's share of a batch: original position, stream, op.
@@ -76,7 +73,7 @@ impl StreamMux {
                     .into_iter()
                     .map(|(pos, id, op)| {
                         let r = match shard.get_mut(&id.0) {
-                            Some(state) => run_op(state, id, op, &inner.tables),
+                            Some(state) => run_op(state, id, op),
                             None => Err(GatewayError::UnknownStream(id)),
                         };
                         (pos, r)
@@ -97,22 +94,17 @@ impl StreamMux {
     }
 }
 
-/// Runs one op on the stream; a rekey takes its table from
-/// `tables`. Chunk ops go through the same `StreamState` methods as
+/// Runs one op on the stream. Chunk ops go through the same
+/// `StreamState` methods as
 /// [`StreamMux::seal_chunk`]/[`StreamMux::open_chunk`].
-fn run_op(
-    s: &mut StreamState,
-    id: StreamId,
-    op: StreamOp,
-    tables: &TableInterner,
-) -> Result<StreamOutput, GatewayError> {
+fn run_op(s: &mut StreamState, id: StreamId, op: StreamOp) -> Result<StreamOutput, GatewayError> {
     match op {
         StreamOp::Encrypt(msg) => Ok(StreamOutput::Blocks(s.encrypt(&msg)?)),
         StreamOp::Decrypt { blocks, bit_len } => {
             Ok(StreamOutput::Plain(s.decrypt(&blocks, bit_len)?))
         }
         StreamOp::Rekey { epoch } => Ok(StreamOutput::Rekeyed {
-            epoch: s.rekey(id, epoch, tables)?,
+            epoch: s.rekey(id, epoch)?,
         }),
         StreamOp::SealChunk {
             epoch,

@@ -3,7 +3,7 @@
 
 use bitkit::{le_u16, le_u32, le_u64};
 
-use super::{StreamId, StreamState, TableInterner};
+use super::{StreamId, StreamState};
 use crate::key::{KeyError, KeyRing, MAX_PAIRS};
 use crate::session::{CursorDecodeError, StreamCursor};
 use crate::source::LfsrSource;
@@ -156,11 +156,9 @@ fn key_from_pair_bytes(bytes: &[u8]) -> Result<Key, SnapshotDecodeError> {
     Key::from_nibbles(&nibbles).map_err(SnapshotDecodeError::Key)
 }
 
-/// Decodes a snapshot into a stream that runs on `tables`' shared table
-/// for the snapshotted key.
+/// Decodes a snapshot into the stream it resumes.
 pub(super) fn decode_snapshot(
     bytes: &[u8],
-    tables: &TableInterner,
 ) -> Result<(StreamId, StreamState), SnapshotDecodeError> {
     let truncated = |need: usize| SnapshotDecodeError::Truncated {
         need,
@@ -235,7 +233,7 @@ pub(super) fn decode_snapshot(
     // state was validated nonzero above, so the error arm is unreachable
     // but keeps the serving path total.
     let source = LfsrSource::new(lfsr_state).map_err(|_| SnapshotDecodeError::ZeroLfsrState)?;
-    let mut state = StreamState::new(key, algorithm, profile, source, ring, tables);
+    let mut state = StreamState::new(key, algorithm, profile, source, ring);
     state.enc = enc_cursor;
     state.dec = dec_cursor;
     state.epoch = epoch;
@@ -247,11 +245,6 @@ mod tests {
     use super::*;
     use crate::gateway::tests::{key, ring};
     use crate::gateway::{StreamConfig, StreamMux};
-
-    /// Decodes against a throwaway interner.
-    fn decode_snapshot(bytes: &[u8]) -> Result<(StreamId, StreamState), SnapshotDecodeError> {
-        super::decode_snapshot(bytes, &TableInterner::default())
-    }
 
     #[test]
     fn snapshot_v2_ring_garbage_rejected() {

@@ -106,8 +106,26 @@ impl KeyPair {
     }
 
     /// The pair ordered `(min, max)` — the algorithm's working form.
-    pub fn sorted(self) -> (u8, u8) {
-        (self.left.min(self.right), self.left.max(self.right))
+    pub const fn sorted(self) -> (u8, u8) {
+        if self.left <= self.right {
+            (self.left, self.right)
+        } else {
+            (self.right, self.left)
+        }
+    }
+
+    /// The pair as one index in `0..64`: `left | right << 3`, the byte
+    /// `MHSS` snapshots carry.
+    pub(crate) const fn index(self) -> usize {
+        (self.left | self.right << 3) as usize
+    }
+
+    /// Inverts [`KeyPair::index`] (bits above the sixth are ignored).
+    pub(crate) const fn from_index(index: usize) -> KeyPair {
+        KeyPair {
+            left: (index & 7) as u8,
+            right: (index >> 3 & 7) as u8,
+        }
     }
 
     /// Width of the *unscrambled* span, `max − min + 1` (1..=8).

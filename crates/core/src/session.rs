@@ -15,15 +15,16 @@
 //!   three messages through one session and decrypting them through one
 //!   session round-trips all three, in both profiles.
 //! * Both sessions are thin wrappers over the crate's two cipher kernels,
-//!   one encrypt function and one decrypt function. Each takes a
-//!   precomputed [`SpanTable`], the profile and a [`StreamCursor`] and
-//!   turns each block into a few shift/mask operations on `u16`s instead
-//!   of a per-bit `Iterator<Item = bool>` loop (see [`crate::block`]).
-//!   Every other caller runs the same two kernels: the single-shot
-//!   engine, both container versions, and the gateway, whose streams
-//!   hold one cursor per direction, one LFSR source and one reference to
-//!   a table shared by every stream on the same `(key, algorithm,
-//!   profile)`. A failed decrypt never moves its cursor.
+//!   one encrypt function and one decrypt function. Each takes the key,
+//!   algorithm, profile and a [`StreamCursor`], reads its spans from the
+//!   static [`SpanTable`] and turns each block into a few shift/mask
+//!   operations on `u16`s instead of a per-bit `Iterator<Item = bool>`
+//!   loop (see [`crate::block`]). Every other caller runs the same two
+//!   kernels: the single-shot engine, both container versions, and the
+//!   gateway, whose streams hold one cursor per direction and one LFSR
+//!   source. Nothing stores a table: the kernel builds its row view at
+//!   the call, at most 16 pointer copies. A failed decrypt never moves
+//!   its cursor.
 //! * Both sessions rotate keys online: [`EncryptSession::rekey`] /
 //!   [`DecryptSession::rekey`] move a live stream to a new
 //!   [`crate::KeyRing`] epoch (new key, fresh LFSR reseed, cursor back at
@@ -32,8 +33,6 @@
 //!
 //! The single-shot [`crate::Encryptor`]/[`crate::Decryptor`] run the same
 //! kernels from the stream origin on every call.
-
-use std::sync::Arc;
 
 use crate::block::SpanTable;
 use crate::key::KeyRing;
@@ -154,20 +153,11 @@ impl StreamCursor {
 #[derive(Debug, Clone)]
 pub struct EncryptSession<S> {
     key: Key,
-    table: Arc<SpanTable>,
     source: S,
     algorithm: Algorithm,
     profile: Profile,
     cursor: StreamCursor,
     epoch: u32,
-}
-
-/// The span table a session on `(key, algorithm, profile)` runs on.
-pub(crate) fn build_table(key: &Key, algorithm: Algorithm, profile: Profile) -> Arc<SpanTable> {
-    Arc::new(match profile {
-        Profile::Streaming => SpanTable::new(key, algorithm),
-        Profile::HardwareFaithful => SpanTable::new_hw(key, algorithm),
-    })
 }
 
 /// [`MhheaError::StaleEpoch`] unless `requested` is strictly newer.
@@ -184,13 +174,9 @@ impl<S: VectorSource> EncryptSession<S> {
         Self::with_options(key, source, Algorithm::Mhhea, Profile::Streaming)
     }
 
-    /// Creates a session with an explicit variant and profile, building
-    /// the span table exactly once (preferred over chaining
-    /// [`EncryptSession::with_algorithm`]/[`EncryptSession::with_profile`]
-    /// when both are known up front, e.g. one session per chunk).
+    /// Creates a session with an explicit variant and profile.
     pub fn with_options(key: Key, source: S, algorithm: Algorithm, profile: Profile) -> Self {
         EncryptSession {
-            table: build_table(&key, algorithm, profile),
             key,
             source,
             algorithm,
@@ -200,20 +186,18 @@ impl<S: VectorSource> EncryptSession<S> {
         }
     }
 
-    /// Selects the cipher variant (rebuilds the span table).
+    /// Selects the cipher variant.
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
-        self.table = build_table(&self.key, self.algorithm, self.profile);
         self
     }
 
-    /// Selects the buffering profile (rebuilds the span table: the
-    /// hardware profile schedules pairs through the 16-deep key cache).
+    /// Selects the buffering profile (the hardware profile schedules
+    /// pairs through the 16-deep key cache).
     #[must_use]
     pub fn with_profile(mut self, profile: Profile) -> Self {
         self.profile = profile;
-        self.table = build_table(&self.key, self.algorithm, self.profile);
         self
     }
 
@@ -251,7 +235,7 @@ impl<S: VectorSource> EncryptSession<S> {
     }
 
     /// Rotates the session to a new epoch with explicit materials: the
-    /// new key (span table rebuilt), a fresh vector source, and the
+    /// new key, a fresh vector source, and the
     /// cursor reset to the stream origin — the new epoch's schedule
     /// starts from block zero on both endpoints, which is what makes the
     /// handoff bit-exact. Call it only at a message boundary (every point
@@ -264,7 +248,6 @@ impl<S: VectorSource> EncryptSession<S> {
     /// the current epoch — epochs only move forward.
     pub fn rekey_with(&mut self, key: Key, source: S, epoch: u32) -> Result<(), MhheaError> {
         check_epoch(self.epoch, epoch)?;
-        self.table = build_table(&key, self.algorithm, self.profile);
         self.key = key;
         self.source = source;
         self.cursor = StreamCursor::start();
@@ -300,7 +283,8 @@ impl<S: VectorSource> EncryptSession<S> {
     /// Panics if `bit_len` exceeds `message.len() * 8`.
     pub fn encrypt_bits(&mut self, message: &[u8], bit_len: usize) -> Result<Vec<u16>, MhheaError> {
         encrypt_at(
-            &self.table,
+            &self.key,
+            self.algorithm,
             self.profile,
             &mut self.cursor,
             &mut self.source,
@@ -351,7 +335,6 @@ impl EncryptSession<LfsrSource> {
 /// [`EncryptSession`].
 #[derive(Debug, Clone)]
 pub struct DecryptSession {
-    table: Arc<SpanTable>,
     algorithm: Algorithm,
     profile: Profile,
     cursor: StreamCursor,
@@ -365,12 +348,9 @@ impl DecryptSession {
         Self::with_options(key, Algorithm::Mhhea, Profile::Streaming)
     }
 
-    /// Creates a session with an explicit variant and profile, building
-    /// the span table exactly once (preferred over chaining the builders
-    /// when both are known up front).
+    /// Creates a session with an explicit variant and profile.
     pub fn with_options(key: Key, algorithm: Algorithm, profile: Profile) -> Self {
         DecryptSession {
-            table: build_table(&key, algorithm, profile),
             algorithm,
             profile,
             cursor: StreamCursor::start(),
@@ -383,7 +363,6 @@ impl DecryptSession {
     #[must_use]
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
-        self.table = build_table(&self.key, self.algorithm, self.profile);
         self
     }
 
@@ -391,7 +370,6 @@ impl DecryptSession {
     #[must_use]
     pub fn with_profile(mut self, profile: Profile) -> Self {
         self.profile = profile;
-        self.table = build_table(&self.key, self.algorithm, self.profile);
         self
     }
 
@@ -435,7 +413,6 @@ impl DecryptSession {
     /// the current epoch.
     pub fn rekey_with(&mut self, key: Key, epoch: u32) -> Result<(), MhheaError> {
         check_epoch(self.epoch, epoch)?;
-        self.table = build_table(&key, self.algorithm, self.profile);
         self.key = key;
         self.cursor = StreamCursor::start();
         self.epoch = epoch;
@@ -462,7 +439,14 @@ impl DecryptSession {
     /// Returns [`MhheaError::CiphertextTruncated`] when the blocks carry
     /// fewer than `bit_len` bits; the cursor does not move.
     pub fn decrypt(&mut self, blocks: &[u16], bit_len: usize) -> Result<Vec<u8>, MhheaError> {
-        decrypt_at(&self.table, self.profile, &mut self.cursor, blocks, bit_len)
+        decrypt_at(
+            &self.key,
+            self.algorithm,
+            self.profile,
+            &mut self.cursor,
+            blocks,
+            bit_len,
+        )
     }
 }
 
@@ -474,22 +458,34 @@ fn next_vector(source: &mut impl VectorSource, cursor: &StreamCursor) -> Result<
     })
 }
 
+/// The span table for `(key, algorithm, profile)`: the hardware profile
+/// schedules pairs through the 16-deep key cache.
+fn table(key: &Key, algorithm: Algorithm, profile: Profile) -> SpanTable {
+    match profile {
+        Profile::Streaming => SpanTable::new(key, algorithm),
+        Profile::HardwareFaithful => SpanTable::new_hw(key, algorithm),
+    }
+}
+
 /// The encrypt kernel, which every encrypting caller runs: seals the
-/// first `bit_len` bits of `message` from stream position `cursor`, one
-/// hiding vector from `source` per block, and advances `cursor` past
-/// every block it produced (on [`MhheaError::SourceExhausted`] too).
+/// first `bit_len` bits of `message` under `(key, algorithm, profile)`
+/// from stream position `cursor`, one hiding vector from `source` per
+/// block, and advances `cursor` past every block it produced (on
+/// [`MhheaError::SourceExhausted`] too).
 ///
 /// # Panics
 ///
 /// Panics if `bit_len` exceeds `message.len() * 8`.
 pub(crate) fn encrypt_at(
-    table: &SpanTable,
+    key: &Key,
+    algorithm: Algorithm,
     profile: Profile,
     cursor: &mut StreamCursor,
     source: &mut impl VectorSource,
     message: &[u8],
     bit_len: usize,
 ) -> Result<Vec<u16>, MhheaError> {
+    let table = table(key, algorithm, profile);
     let mut reader = BitReader::with_bit_len(message, bit_len);
     let mut blocks = Vec::with_capacity(table.estimated_blocks(bit_len));
     match profile {
@@ -535,17 +531,20 @@ pub(crate) fn encrypt_at(
 }
 
 /// The decrypt kernel, which every decrypting caller runs: recovers
-/// `bit_len` message bits from one message's cipher blocks at stream
-/// position `cursor`. On success `cursor` moves past every block; on
-/// [`MhheaError::CiphertextTruncated`] it does not move, so a caller may
-/// retry the message with its full blocks.
+/// `bit_len` message bits from one message's cipher blocks under `(key,
+/// algorithm, profile)` at stream position `cursor`. On success `cursor`
+/// moves past every block; on [`MhheaError::CiphertextTruncated`] it
+/// does not move, so a caller may retry the message with its full
+/// blocks.
 pub(crate) fn decrypt_at(
-    table: &SpanTable,
+    key: &Key,
+    algorithm: Algorithm,
     profile: Profile,
     cursor: &mut StreamCursor,
     blocks: &[u16],
     bit_len: usize,
 ) -> Result<Vec<u8>, MhheaError> {
+    let table = table(key, algorithm, profile);
     let mut writer = BitWriter::new();
     let mut recovered = 0usize;
     let base = cursor.block_index;

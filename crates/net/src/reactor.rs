@@ -753,7 +753,9 @@ impl Reactor {
                         ServerStats::bump(&shared.stats.streams_evicted);
                     }
                 } else {
-                    let _ = shared.mux.close(StreamId(id));
+                    if shared.mux.close(StreamId(id)).is_ok() {
+                        ServerStats::bump(&shared.stats.streams_dropped);
+                    }
                     reg.tokens.remove(&id);
                 }
             }

@@ -95,7 +95,8 @@ pub struct ServerConfig {
     /// chatty client can monopolise a tick.
     pub read_budget: usize,
     /// Most eviction snapshots parked for resumption; beyond it, streams
-    /// of dying connections are closed instead of parked.
+    /// of dying connections are closed instead of parked (counted in
+    /// [`ServerStats::streams_dropped`]).
     pub snapshot_capacity: usize,
     /// Most simultaneously open connections (across all reactors); beyond
     /// it, accepted sockets are dropped immediately (counted in
@@ -103,11 +104,11 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Most simultaneously *live* streams in the mux; beyond it, `Hello`
     /// is answered with [`crate::frame::ErrorCode::ServerBusy`]. Bounds what one (or
-    /// many) connections can allocate by looping handshakes. A live stream
-    /// costs about 270 bytes of RSS on a shared 8-pair key (cursors, LFSR
-    /// state, one key copy, map entry); its span table (1.5 KiB per key
-    /// pair) is shared by every stream on the same key, so only streams
-    /// on distinct keys, such as MHKX streams, each add a table.
+    /// many) connections can allocate by looping handshakes. Every live
+    /// stream costs the same, about 260 bytes of RSS with an 8-pair key
+    /// (cursors, LFSR state, one key copy, map entry), whether its key is
+    /// shared or unique (MHKX): no stream holds a span table. So this
+    /// bound also bounds the mux's bytes.
     pub max_streams: usize,
     /// How long a connection marked for closing (protocol violation) may
     /// linger waiting for its goodbye frame to flush before it is torn
@@ -243,6 +244,11 @@ pub struct ServerStats {
     pub streams_opened: AtomicU64,
     /// Monotonic: streams evicted to the snapshot store on disconnect.
     pub streams_evicted: AtomicU64,
+    /// Monotonic: streams closed on disconnect instead of evicted,
+    /// because the snapshot store held
+    /// [`ServerConfig::snapshot_capacity`] snapshots. Their resume
+    /// tokens are removed with them, so a later `Resume` is refused.
+    pub streams_dropped: AtomicU64,
     /// Monotonic: streams restored from the snapshot store by `Resume`.
     pub streams_resumed: AtomicU64,
     /// Monotonic: successful key rotations (`Rekey` → `RekeyAck`).

@@ -507,6 +507,52 @@ fn parked_stream_id_is_protected_until_resumed_and_discarded() {
     }
 }
 
+/// The snapshot store bound: with room for one snapshot, two dying
+/// connections park one stream and close the other; the closed stream's
+/// token is gone, and the close is counted.
+#[test]
+fn full_snapshot_store_closes_and_counts_the_overflow() {
+    let mut cfg = ServerConfig::new([(1, key())]).with_reactors(reactors());
+    cfg.snapshot_capacity = 1;
+    let server = NetServer::spawn("127.0.0.1:0", cfg).expect("bind server");
+    let mut tokens = Vec::new();
+    for id in [31, 32] {
+        let mut conn = NetClient::connect(server.addr()).unwrap();
+        tokens.push((
+            id,
+            conn.open_stream(id, Hello::new(1, 0x3100 + id as u16))
+                .unwrap(),
+        ));
+        conn.seal(id, b"traffic before the disconnect").unwrap();
+        drop(conn);
+    }
+    let stats = server.stats();
+    let read = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while read(&stats.streams_evicted) + read(&stats.streams_dropped) < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "server never reaped both streams"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(read(&stats.streams_evicted), 1);
+    assert_eq!(read(&stats.streams_dropped), 1);
+
+    let mut resumed = 0;
+    for (id, token) in tokens {
+        let mut client = NetClient::connect(server.addr()).unwrap();
+        match client.resume(id, token) {
+            Ok(_) => {
+                client.seal(id, b"resumed").unwrap();
+                resumed += 1;
+            }
+            Err(err) => assert!(err.is_code(ErrorCode::NoSnapshot), "got {err}"),
+        }
+    }
+    assert_eq!(resumed, 1);
+}
+
 /// The stream capacity bound: a handshake loop cannot allocate sessions
 /// past `max_streams`; closing a stream frees its slot.
 #[test]
