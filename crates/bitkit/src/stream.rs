@@ -84,7 +84,11 @@ impl<'a> BitReader<'a> {
     /// Returns `(word, got)` where `got ≤ width` is the number of bits
     /// actually available; unread high bits are zero. This is the
     /// word-level fast path the MHHEA engines use to fill a whole span in
-    /// one masked operation instead of one [`Iterator::next`] call per bit.
+    /// one masked operation instead of one [`Iterator::next`] call per bit:
+    /// one little-endian 32-bit window is loaded at the cursor's byte,
+    /// shifted by the cursor's bit offset (≤ 7, so ≥ 25 window bits
+    /// remain) and masked to `got`. Within the last three bytes of the
+    /// buffer the window is zero-padded instead.
     ///
     /// # Panics
     ///
@@ -97,18 +101,21 @@ impl<'a> BitReader<'a> {
     /// assert_eq!(r.read_bits16(12), (0xA06, 12));
     /// assert_eq!(r.read_bits16(16), (0xC, 4)); // only 4 bits left
     /// ```
+    #[inline]
     pub fn read_bits16(&mut self, width: usize) -> (u16, usize) {
         assert!(width <= 16, "width {width} exceeds 16");
         let got = width.min(self.remaining());
-        let mut out: u32 = 0;
-        let mut filled = 0usize;
-        while filled < got {
-            let pos = self.cursor + filled;
-            let take = (8 - pos % 8).min(got - filled);
-            let chunk = ((self.bytes[pos / 8] >> (pos % 8)) as u32) & ((1u32 << take) - 1);
-            out |= chunk << filled;
-            filled += take;
-        }
+        let at = self.cursor / 8;
+        let window = match self.bytes.get(at..at + 4) {
+            Some(&[b0, b1, b2, b3]) => u32::from_le_bytes([b0, b1, b2, b3]),
+            _ => {
+                let mut padded = [0u8; 4];
+                let tail = self.bytes.get(at..).unwrap_or_default();
+                padded[..tail.len()].copy_from_slice(tail);
+                u32::from_le_bytes(padded)
+            }
+        };
+        let out = (window >> (self.cursor % 8)) & ((1u32 << got) - 1);
         self.cursor += got;
         (out as u16, got)
     }
@@ -132,6 +139,10 @@ impl ExactSizeIterator for BitReader<'_> {}
 
 /// Accumulates bits LSB-first into bytes.
 ///
+/// Bits collect in a 64-bit register and spill to the byte buffer 32 at a
+/// time, so a push of up to 32 bits is a shift and an OR, plus one 4-byte
+/// store per 32 bits written, whatever its width.
+///
 /// # Examples
 ///
 /// ```
@@ -146,8 +157,12 @@ impl ExactSizeIterator for BitReader<'_> {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
+    /// Every spilled 32-bit word, little-endian.
     bytes: Vec<u8>,
-    bit_len: usize,
+    /// Bits not yet spilled, LSB-first; every bit above `pending` is zero.
+    acc: u64,
+    /// Number of bits in `acc` (`0..32` between calls).
+    pending: u32,
 }
 
 impl BitWriter {
@@ -156,65 +171,69 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bits` bits: writing at most
+    /// that many never reallocates.
+    pub fn with_capacity(bits: usize) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bits.div_ceil(8)),
+            ..Self::default()
+        }
+    }
+
     /// Appends one bit.
+    #[inline]
     pub fn push(&mut self, bit: bool) {
-        if self.bit_len.is_multiple_of(8) {
-            self.bytes.push(0);
-        }
-        if bit {
-            let idx = self.bit_len / 8;
-            self.bytes[idx] |= 1 << (self.bit_len % 8);
-        }
-        self.bit_len += 1;
+        self.push_word(bit as u64, 1);
     }
 
     /// Appends the low `width` bits of `value`, LSB-first.
     ///
-    /// Works a byte at a time: the value is masked, shifted into place
-    /// against the current partial byte and stored in whole-byte chunks,
-    /// instead of one [`BitWriter::push`] call per bit.
+    /// # Panics
+    ///
+    /// Panics if `width > 64`.
+    #[inline]
     pub fn push_bits(&mut self, value: u64, width: usize) {
         assert!(width <= 64, "width {width} exceeds 64");
-        let mut value = if width == 64 {
-            value
+        if width > 32 {
+            self.push_wide(value, width as u32);
         } else {
-            value & ((1u64 << width) - 1)
-        };
-        let mut left = width;
-        // Fill the current partial byte first.
-        let used = self.bit_len % 8;
-        if used != 0 {
-            let take = (8 - used).min(left);
-            let idx = self.bit_len / 8;
-            self.bytes[idx] |= ((value << used) & 0xFF) as u8;
-            value >>= take;
-            self.bit_len += take;
-            left -= take;
+            self.push_word(value & ((1u64 << width) - 1), width as u32);
         }
-        // Then whole bytes, then the trailing partial byte.
-        while left > 0 {
-            self.bytes.push((value & 0xFF) as u8);
-            let take = left.min(8);
-            value >>= take;
-            self.bit_len += take;
-            left -= take;
+    }
+
+    /// [`BitWriter::push_bits`] for `32 < width ≤ 64`: the low 32 bits,
+    /// then the rest.
+    fn push_wide(&mut self, value: u64, width: u32) {
+        self.push_word(value & 0xFFFF_FFFF, 32);
+        self.push_word((value >> 32) & (u64::MAX >> (96 - width)), width - 32);
+    }
+
+    /// Appends `width ≤ 32` bits already masked to `width`; spills the low
+    /// 32 bits of the register once it holds that many.
+    #[inline]
+    fn push_word(&mut self, value: u64, width: u32) {
+        self.acc |= value << self.pending;
+        self.pending += width;
+        if self.pending >= 32 {
+            self.bytes
+                .extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.pending -= 32;
         }
     }
 
     /// Number of bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.bit_len
+        self.bytes.len() * 8 + self.pending as usize
     }
 
     /// Finishes the stream, returning the bytes (final partial byte padded
     /// with zero bits).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let tail = self.pending.div_ceil(8) as usize;
         self.bytes
-    }
-
-    /// Borrows the bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+            .extend_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.bytes
     }
 }
 
@@ -322,8 +341,23 @@ mod tests {
         let mut w = BitWriter::new();
         w.push(true);
         w.push(true);
-        assert_eq!(w.as_bytes(), &[0b11]);
+        assert_eq!(w.clone().into_bytes(), vec![0b11]);
         assert_eq!(w.into_bytes(), vec![0b11]);
+    }
+
+    #[test]
+    fn with_capacity_holds_its_bits_without_regrowing() {
+        for bits in 0..=100usize {
+            let mut w = BitWriter::with_capacity(bits);
+            for i in 0..bits / 7 {
+                w.push_bits(i as u64, 7);
+            }
+            for _ in 0..bits % 7 {
+                w.push(true);
+            }
+            assert_eq!(w.bit_len(), bits);
+            assert_eq!(w.into_bytes().capacity(), bits.div_ceil(8), "{bits} bits");
+        }
     }
 
     #[test]

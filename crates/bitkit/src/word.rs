@@ -19,11 +19,13 @@
 //! ```
 
 /// Rotates a 16-bit word left by `n` (mod 16).
+#[inline]
 pub fn rotl16(v: u16, n: u32) -> u16 {
     v.rotate_left(n % 16)
 }
 
 /// Rotates a 16-bit word right by `n` (mod 16).
+#[inline]
 pub fn rotr16(v: u16, n: u32) -> u16 {
     v.rotate_right(n % 16)
 }
@@ -40,6 +42,7 @@ pub fn rotr16(v: u16, n: u32) -> u16 {
 /// // V[11 downto 8] of 0xCA06 = 0b1010
 /// assert_eq!(bitkit::word::field16(0xCA06, 8, 11), 0b1010);
 /// ```
+#[inline]
 pub const fn field16(v: u16, lo: u32, hi: u32) -> u16 {
     assert!(lo <= hi && hi <= 15, "invalid field");
     let width = hi - lo + 1;
@@ -61,6 +64,7 @@ pub const fn field16(v: u16, lo: u32, hi: u32) -> u16 {
 /// // Replace bits 2..=5 of 0xCA06 with 0 -> 0xCA02.
 /// assert_eq!(bitkit::word::replace16(0xCA06, 2, 5, 0), 0xCA02);
 /// ```
+#[inline]
 pub fn replace16(v: u16, lo: u32, hi: u32, bits: u16) -> u16 {
     assert!(lo <= hi && hi <= 15, "invalid field {lo}..={hi}");
     let width = hi - lo + 1;
@@ -77,6 +81,7 @@ pub fn replace16(v: u16, lo: u32, hi: u32, bits: u16) -> u16 {
 /// # Panics
 ///
 /// Panics if `i > 15`.
+#[inline]
 pub fn bit16(v: u16, i: u32) -> bool {
     assert!(i <= 15, "bit index {i} out of range");
     (v >> i) & 1 == 1
@@ -93,6 +98,7 @@ pub fn bit16(v: u16, i: u32) -> bool {
 /// assert_eq!(bitkit::word::low_mask16(4), 0x000F);
 /// assert_eq!(bitkit::word::low_mask16(16), 0xFFFF);
 /// ```
+#[inline]
 pub const fn low_mask16(n: usize) -> u16 {
     assert!(n <= 16, "mask width exceeds 16");
     if n == 16 {
@@ -116,6 +122,7 @@ pub const fn low_mask16(n: usize) -> u16 {
 /// assert_eq!(bitkit::word::mask16(2, 5), 0b0011_1100);
 /// assert_eq!(bitkit::word::mask16(0, 15), 0xFFFF);
 /// ```
+#[inline]
 pub const fn mask16(lo: u32, hi: u32) -> u16 {
     assert!(lo <= hi && hi <= 15, "invalid field");
     low_mask16((hi - lo + 1) as usize) << lo
@@ -125,11 +132,13 @@ pub const fn mask16(lo: u32, hi: u32) -> u16 {
 ///
 /// The paper's message cache stores the 32-bit input as two 16-bit halves and
 /// feeds the least-significant half to the alignment buffer first.
+#[inline]
 pub fn split32(v: u32) -> (u16, u16) {
     (v as u16, (v >> 16) as u16)
 }
 
 /// Rebuilds a 32-bit word from `(low16, high16)`.
+#[inline]
 pub fn join32(low: u16, high: u16) -> u32 {
     (low as u32) | ((high as u32) << 16)
 }

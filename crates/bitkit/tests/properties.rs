@@ -52,4 +52,64 @@ proptest! {
         w.extend(BitReader::new(&data));
         prop_assert_eq!(w.into_bytes(), data);
     }
+
+    /// The 32-bit window read against the per-bit reader, from every
+    /// cursor of a 1..=8-byte buffer at every width, with the exposed bit
+    /// length short of the buffer so the window always overhangs bits it
+    /// must mask (and, near the end, bytes it must zero-pad).
+    #[test]
+    fn read_bits16_matches_per_bit_at_every_cursor(
+        bytes in proptest::collection::vec(any::<u8>(), 1..=8),
+        cut in any::<usize>(),
+    ) {
+        let bit_len = cut % (bytes.len() * 8);
+        for start in 0..=bit_len {
+            for width in 0..=16usize {
+                let mut word_reader = BitReader::with_bit_len(&bytes, bit_len);
+                let mut bit_reader = word_reader.clone();
+                for _ in 0..start {
+                    word_reader.next();
+                    bit_reader.next();
+                }
+                let mut want = 0u16;
+                let mut want_got = 0usize;
+                for (i, bit) in (&mut bit_reader).take(width).enumerate() {
+                    want |= (bit as u16) << i;
+                    want_got += 1;
+                }
+                prop_assert_eq!(
+                    word_reader.read_bits16(width),
+                    (want, want_got),
+                    "start {} width {} bit_len {}", start, width, bit_len
+                );
+                prop_assert_eq!(word_reader.consumed(), bit_reader.consumed());
+            }
+        }
+    }
+
+    /// Interleaved single bits and 0..=64-bit words against a `Vec<bool>`
+    /// model: `bit_len` after every call, and the bytes of a clone finished
+    /// at every point (so every accumulator fill level is flushed once).
+    #[test]
+    fn writer_matches_bit_model_under_interleaved_pushes(
+        ops in proptest::collection::vec((any::<bool>(), any::<u64>(), 0usize..=64), 0..48),
+    ) {
+        let mut writer = BitWriter::new();
+        let mut model: Vec<bool> = Vec::new();
+        for (single, value, width) in ops {
+            if single {
+                writer.push(value & 1 == 1);
+                model.push(value & 1 == 1);
+            } else {
+                writer.push_bits(value, width);
+                model.extend((0..width).map(|i| (value >> i) & 1 == 1));
+            }
+            prop_assert_eq!(writer.bit_len(), model.len());
+            let mut want = vec![0u8; model.len().div_ceil(8)];
+            for (i, &bit) in model.iter().enumerate() {
+                want[i / 8] |= (bit as u8) << (i % 8);
+            }
+            prop_assert_eq!(writer.clone().into_bytes(), want);
+        }
+    }
 }

@@ -293,11 +293,21 @@ impl SpanTable {
         self.len
     }
 
-    /// [`crate::stats::estimated_blocks`] read off the table; the encrypt
-    /// kernel pre-sizes its output with it.
+    /// [`crate::stats::estimated_blocks`] read off the table.
     pub(crate) fn estimated_blocks(&self, bit_len: usize) -> usize {
         let expected_span = self.widths as f64 / (256 * self.len) as f64;
         crate::stats::blocks_for(bit_len, expected_span, self.len)
+    }
+
+    /// The encrypt kernel's output reservation: the mean estimate plus
+    /// four times its square root. One standard deviation of a message's
+    /// block count is `√blocks · σ/μ` of its key's span widths, at most
+    /// `0.75·√blocks` (a key of adjacent pairs such as `(4,5)` under
+    /// MHHEA), so the margin sits above five of them and a seal almost
+    /// never regrows its buffer.
+    pub(crate) fn reserved_blocks(&self, bit_len: usize) -> usize {
+        let estimate = self.estimated_blocks(bit_len);
+        estimate + 4 * (estimate as f64).sqrt().ceil() as usize
     }
 
     /// The span for block index `block_index` and vector high byte
@@ -305,6 +315,38 @@ impl SpanTable {
     #[inline]
     pub fn entry(&self, block_index: usize, high_byte: u8) -> SpanEntry {
         self.rows[block_index % self.len][high_byte as usize]
+    }
+
+    /// A walk along the schedule starting at stream block `block_index`:
+    /// the kernels divide once per call here, then step a wrapping counter
+    /// per block.
+    #[inline]
+    pub(crate) fn schedule_from(&self, block_index: u64) -> Schedule<'_> {
+        Schedule {
+            rows: &self.rows[..self.len],
+            at: (block_index % self.len as u64) as usize,
+        }
+    }
+}
+
+/// The rows of successive blocks from one stream position (see
+/// [`SpanTable::schedule_from`]).
+pub(crate) struct Schedule<'t> {
+    rows: &'t [&'static [SpanEntry; 256]],
+    /// Schedule position of the next block (`< rows.len()`).
+    at: usize,
+}
+
+impl Schedule<'_> {
+    /// The next block's row; the position wraps at the schedule length.
+    #[inline]
+    pub(crate) fn next_row(&mut self) -> &'static [SpanEntry; 256] {
+        let row = self.rows[self.at];
+        self.at += 1;
+        if self.at == self.rows.len() {
+            self.at = 0;
+        }
+        row
     }
 }
 

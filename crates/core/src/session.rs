@@ -19,12 +19,15 @@
 //!   algorithm, profile and a [`StreamCursor`], reads its spans from the
 //!   static [`SpanTable`] and turns each block into a few shift/mask
 //!   operations on `u16`s instead of a per-bit `Iterator<Item = bool>`
-//!   loop (see [`crate::block`]). Every other caller runs the same two
-//!   kernels: the single-shot engine, both container versions, and the
-//!   gateway, whose streams hold one cursor per direction and one LFSR
-//!   source. Nothing stores a table: the kernel builds its row view at
-//!   the call, at most 16 pointer copies. A failed decrypt never moves
-//!   its cursor.
+//!   loop (see [`crate::block`]): message bits come in through one 32-bit
+//!   window per block ([`BitReader::read_bits16`]), recovered bits go out
+//!   through a 64-bit accumulator ([`BitWriter`]), and the key schedule
+//!   is one division per call, then a wrapping counter. Every other
+//!   caller runs the same two kernels: the single-shot engine, both
+//!   container versions, and the gateway, whose streams hold one cursor
+//!   per direction and one LFSR source. Nothing stores a table: the
+//!   kernel builds its row view at the call, at most 16 pointer copies.
+//!   A failed decrypt never moves its cursor.
 //! * Both sessions rotate keys online: [`EncryptSession::rekey`] /
 //!   [`DecryptSession::rekey`] move a live stream to a new
 //!   [`crate::KeyRing`] epoch (new key, fresh LFSR reseed, cursor back at
@@ -486,13 +489,14 @@ pub(crate) fn encrypt_at(
     bit_len: usize,
 ) -> Result<Vec<u16>, MhheaError> {
     let table = table(key, algorithm, profile);
+    let mut schedule = table.schedule_from(cursor.block_index);
     let mut reader = BitReader::with_bit_len(message, bit_len);
-    let mut blocks = Vec::with_capacity(table.estimated_blocks(bit_len));
+    let mut blocks = Vec::with_capacity(table.reserved_blocks(bit_len));
     match profile {
         Profile::Streaming => {
             while !reader.is_eof() {
                 let v = next_vector(source, cursor)?;
-                let e = table.entry(cursor.block_index as usize, (v >> 8) as u8);
+                let e = schedule.next_row()[(v >> 8) as usize];
                 let (bits, got) = reader.read_bits16(e.width as usize);
                 blocks.push(e.embed(v, bits, got));
                 cursor.block_index += 1;
@@ -508,7 +512,7 @@ pub(crate) fn encrypt_at(
                 let mut consumed = cursor.buffered as usize;
                 while consumed < 16 {
                     let v = next_vector(source, cursor)?;
-                    let e = table.entry(cursor.block_index as usize, (v >> 8) as u8);
+                    let e = schedule.next_row()[(v >> 8) as usize];
                     // Circ state: rotate the next message bits onto the
                     // span, then blind full-span replacement (Encrypt
                     // state).
@@ -545,27 +549,29 @@ pub(crate) fn decrypt_at(
     bit_len: usize,
 ) -> Result<Vec<u8>, MhheaError> {
     let table = table(key, algorithm, profile);
-    let mut writer = BitWriter::new();
+    let mut schedule = table.schedule_from(cursor.block_index);
+    // Each block carries at most 8 message bits, so the reservation is
+    // bounded by the blocks actually supplied — never trust a (possibly
+    // forged) header's `bit_len` to size an allocation.
+    let mut writer = BitWriter::with_capacity(bit_len.min(blocks.len().saturating_mul(8)));
     let mut recovered = 0usize;
-    let base = cursor.block_index;
     let mut consumed = cursor.buffered as usize;
     match profile {
         Profile::Streaming => {
-            for (i, &cipher) in blocks.iter().enumerate() {
+            for &cipher in blocks {
                 if recovered >= bit_len {
                     break;
                 }
-                let e = table.entry((base + i as u64) as usize, (cipher >> 8) as u8);
-                // Extraction is capped by `bit_len` — never trust a
-                // (possibly corrupted) header to size the output.
+                let e = schedule.next_row()[(cipher >> 8) as usize];
+                // Extraction is capped by `bit_len`, like the reservation.
                 let take = (e.width as usize).min(bit_len - recovered);
                 writer.push_bits(e.extract(cipher, take) as u64, take);
                 recovered += take;
             }
         }
         Profile::HardwareFaithful => {
-            for (i, &cipher) in blocks.iter().enumerate() {
-                let e = table.entry((base + i as u64) as usize, (cipher >> 8) as u8);
+            for &cipher in blocks {
+                let e = schedule.next_row()[(cipher >> 8) as usize];
                 // Only the first `fresh` span positions carry new message
                 // bits; the rest are the encryptor's stale buffer
                 // wrap-around. Extraction is additionally capped by
@@ -591,7 +597,45 @@ pub(crate) fn decrypt_at(
     // Every supplied block advances the schedule — the encrypt side
     // produced all of them for this message, even past the `bit_len` cap.
     // The streaming arm never touches `consumed`.
-    cursor.block_index = base + blocks.len() as u64;
+    cursor.block_index += blocks.len() as u64;
     cursor.buffered = consumed as u8;
     Ok(writer.into_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The encrypt kernel's reservation holds every seal of the
+    /// benchmark's key (perfbench's `bench_key`) at its two message sizes
+    /// over 200 LFSR seeds: no output buffer ever regrows.
+    #[test]
+    fn seals_never_outgrow_the_reservation() {
+        let key = Key::from_nibbles(&[
+            (0, 3),
+            (2, 5),
+            (7, 1),
+            (4, 4),
+            (6, 0),
+            (3, 3),
+            (5, 2),
+            (1, 6),
+        ])
+        .unwrap();
+        let table = table(&key, Algorithm::Mhhea, Profile::Streaming);
+        for size in [256usize, 16 * 1024] {
+            let message: Vec<u8> = (0..size).map(|i| (i * 131 + 7) as u8).collect();
+            let reserved = table.reserved_blocks(size * 8);
+            for seed in 1..=200u16 {
+                let mut enc = EncryptSession::new(key.clone(), LfsrSource::new(seed).unwrap());
+                let blocks = enc.encrypt(&message).unwrap();
+                assert!(
+                    blocks.len() <= reserved,
+                    "{size} B, seed {seed}: {} blocks > {reserved} reserved",
+                    blocks.len()
+                );
+                assert_eq!(blocks.capacity(), reserved, "{size} B, seed {seed}");
+            }
+        }
+    }
 }

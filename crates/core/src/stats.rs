@@ -79,10 +79,11 @@ pub fn expansion_factor(key: &Key, algorithm: Algorithm) -> f64 {
 }
 
 /// Estimated cipher-block count for a `bit_len`-bit message — `bit_len /
-/// E[span]` plus one cycle of slack. The encrypt kernel pre-sizes its
-/// block buffer with the same estimate, read off its span table (it is an
-/// estimate, not a bound: a pathological vector sequence can exceed it,
-/// and `Vec` absorbs the difference).
+/// E[span]` plus one cycle of slack. It is the mean, not a bound: about
+/// half of all seals exceed it slightly. The encrypt kernel pre-sizes its
+/// block buffer with the same estimate, read off its span table, plus a
+/// margin of four square roots of it; a pathological vector sequence can
+/// still exceed that, and `Vec` absorbs the difference.
 pub fn estimated_blocks(key: &Key, algorithm: Algorithm, bit_len: usize) -> usize {
     blocks_for(bit_len, expected_span_key(key, algorithm), key.len())
 }

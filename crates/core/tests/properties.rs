@@ -1,10 +1,10 @@
 //! Property tests for the cipher's block-level invariants.
 
 use mhhea::block::{self, embed, extract, locations, scramble_locations};
-use mhhea::session::EncryptSession;
+use mhhea::session::{DecryptSession, EncryptSession};
 use mhhea::source::{CoverSource, VectorSource};
 use mhhea::stats::expected_span_pair;
-use mhhea::{Algorithm, Key, KeyPair};
+use mhhea::{Algorithm, Key, KeyPair, Profile};
 use proptest::prelude::*;
 
 fn arb_pair() -> impl Strategy<Value = KeyPair> {
@@ -25,9 +25,20 @@ fn per_bit_streaming(
     vectors: &mut impl VectorSource,
     message: &[u8],
 ) -> Vec<u16> {
-    let mut bits = bitkit::BitReader::new(message);
+    per_bit_streaming_from(key, algorithm, vectors, bitkit::BitReader::new(message), 0)
+}
+
+/// [`per_bit_streaming`] for a message that starts at stream block
+/// `first_block` (the schedule continues across messages).
+fn per_bit_streaming_from(
+    key: &Key,
+    algorithm: Algorithm,
+    vectors: &mut impl VectorSource,
+    mut bits: bitkit::BitReader,
+    first_block: usize,
+) -> Vec<u16> {
     let mut blocks = Vec::new();
-    let mut i = 0usize;
+    let mut i = first_block;
     while !bits.is_eof() {
         let v = vectors.next_vector().expect("enough cover words");
         let out = embed(algorithm, key.pair(i), v, &mut bits);
@@ -45,12 +56,23 @@ fn per_bit_hw(
     vectors: &mut impl VectorSource,
     message: &[u8],
 ) -> Vec<u16> {
+    per_bit_hw_from(key, algorithm, vectors, bitkit::BitReader::new(message), 0)
+}
+
+/// [`per_bit_hw`] for a message that starts at stream block
+/// `first_block`.
+fn per_bit_hw_from(
+    key: &Key,
+    algorithm: Algorithm,
+    vectors: &mut impl VectorSource,
+    mut reader: bitkit::BitReader,
+    first_block: usize,
+) -> Vec<u16> {
     use bitkit::word;
     let hw_key = key.expand_cyclic(16);
-    let mut reader = bitkit::BitReader::new(message);
     let mut blocks = Vec::new();
-    let mut produced = 0usize;
-    let half_count = (message.len() * 8).div_ceil(32) * 2;
+    let mut produced = first_block;
+    let half_count = reader.remaining().div_ceil(32) * 2;
     for _ in 0..half_count {
         let mut reg: u16 = 0;
         for t in 0..16 {
@@ -77,6 +99,62 @@ fn per_bit_hw(
         }
     }
     blocks
+}
+
+/// Bit lengths for one piece of a split message: the empty, one-bit and
+/// seven-bit edge cases, or anything up to 160 bits.
+fn arb_piece_len() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), Just(1usize), Just(7usize), 0usize..=160]
+}
+
+/// Splits the bits of `source` into consecutive pieces of `pieces[k].0`
+/// bits and encrypts each with its own `encrypt_bits` call on one session,
+/// comparing every piece with the per-bit reference continuing the same
+/// global schedule; then decrypts the pieces on one `DecryptSession` and
+/// requires each piece's exact bits back. Each piece's buffer carries
+/// `pieces[k].1` trailing junk bytes past its `bit_len`, so the window
+/// read both overhangs masked bits and reaches the buffer's last three
+/// bytes.
+fn check_split_message(
+    key: &Key,
+    alg: Algorithm,
+    profile: Profile,
+    cover: &[u16],
+    source: &[u8],
+    pieces: &[(usize, usize)],
+) -> Result<(), TestCaseError> {
+    let mut reference_vectors = CoverSource::new(cover.to_vec());
+    let mut enc =
+        EncryptSession::with_options(key.clone(), CoverSource::new(cover.to_vec()), alg, profile);
+    let mut dec = DecryptSession::with_options(key.clone(), alg, profile);
+    let mut source_bits = bitkit::BitReader::new(source);
+    let mut produced = 0usize;
+    for (k, &(bit_len, junk)) in pieces.iter().enumerate() {
+        let mut piece = bitkit::BitWriter::new();
+        piece.extend((&mut source_bits).take(bit_len));
+        let plain = piece.into_bytes();
+        let mut buffer = plain.clone();
+        buffer.extend((0..junk).map(|j| 0xA5 ^ (31 * j + k) as u8));
+
+        let reader = bitkit::BitReader::with_bit_len(&buffer, bit_len);
+        let reference = match profile {
+            Profile::Streaming => {
+                per_bit_streaming_from(key, alg, &mut reference_vectors, reader, produced)
+            }
+            Profile::HardwareFaithful => {
+                per_bit_hw_from(key, alg, &mut reference_vectors, reader, produced)
+            }
+        };
+        let sealed = enc.encrypt_bits(&buffer, bit_len).unwrap();
+        prop_assert_eq!(&sealed, &reference, "piece {} of {:?}", k, pieces);
+        produced += sealed.len();
+        prop_assert_eq!(enc.cursor().block_index, produced as u64);
+
+        let opened = dec.decrypt(&sealed, bit_len).unwrap();
+        prop_assert_eq!(opened, plain, "piece {} of {:?}", k, pieces);
+        prop_assert_eq!(dec.cursor(), enc.cursor());
+    }
+    Ok(())
 }
 
 proptest! {
@@ -207,6 +285,30 @@ proptest! {
             .with_profile(mhhea::Profile::HardwareFaithful);
         let word_level = session.encrypt(&message).unwrap();
         prop_assert_eq!(word_level, reference);
+    }
+
+    #[test]
+    fn split_message_matches_per_bit_streaming(
+        key in arb_key(),
+        source in proptest::collection::vec(any::<u8>(), 80),
+        pieces in proptest::collection::vec((arb_piece_len(), 0usize..=4), 1..=4),
+        // Worst case one bit per block: 4 × 160 bits need 640 vectors.
+        cover in proptest::collection::vec(any::<u16>(), 1024),
+        alg in prop_oneof![Just(Algorithm::Hhea), Just(Algorithm::Mhhea)],
+    ) {
+        check_split_message(&key, alg, Profile::Streaming, &cover, &source, &pieces)?;
+    }
+
+    #[test]
+    fn split_message_matches_per_bit_hw(
+        key in arb_key(),
+        source in proptest::collection::vec(any::<u8>(), 80),
+        pieces in proptest::collection::vec((arb_piece_len(), 0usize..=4), 1..=4),
+        // Worst case 16 blocks per 16-bit half: 4 × 10 halves.
+        cover in proptest::collection::vec(any::<u16>(), 1024),
+        alg in prop_oneof![Just(Algorithm::Hhea), Just(Algorithm::Mhhea)],
+    ) {
+        check_split_message(&key, alg, Profile::HardwareFaithful, &cover, &source, &pieces)?;
     }
 
     #[test]

@@ -345,6 +345,39 @@ fn truncated_ciphertext_fails_only_that_request() {
     assert_eq!(plain, b"a message to mangle");
 }
 
+/// A Data/OPEN frame whose blocks are genuine but whose `bit_len` claims
+/// `u32::MAX` bits: the header must not size the decrypt's allocation,
+/// the request fails alone, and the cursor stays put.
+#[test]
+fn forged_max_bit_len_fails_only_that_request() {
+    let server = spawn_server();
+    let mut witness = Witness::open(server.addr(), 7);
+    let mut client = NetClient::connect(server.addr()).unwrap();
+    client.open_stream(84, Hello::new(1, 0x8484)).unwrap();
+    client.open_stream(85, Hello::new(1, 0x8585)).unwrap();
+    let sealed = client
+        .seal(84, b"a message whose length is forged")
+        .unwrap();
+
+    // The client sends the frame as given and reads the server's `Error`
+    // frame back as `ClientError::Server`.
+    let err = client.open(84, &sealed.blocks, u32::MAX).unwrap_err();
+    assert!(err.is_code(ErrorCode::Engine), "got {err}");
+
+    // The stream beside it on the same connection, and another
+    // connection's stream, never noticed.
+    let other = client.seal(85, b"bystander").unwrap();
+    assert_eq!(
+        client.open(85, &other.blocks, other.bit_len).unwrap(),
+        b"bystander"
+    );
+    witness.pump();
+
+    // The decrypt cursor did not move: the genuine blocks still open.
+    let plain = client.open(84, &sealed.blocks, sealed.bit_len).unwrap();
+    assert_eq!(plain, b"a message whose length is forged");
+}
+
 #[test]
 fn handshake_abuse_is_stream_scoped() {
     let server = spawn_server();
