@@ -7,7 +7,7 @@
 //! every subsequent span boundary. These metrics quantify both, rounding
 //! out the honest security evaluation.
 
-use mhhea::{Algorithm, Encryptor, Key, LfsrSource};
+use mhhea::{Algorithm, EncryptSession, Key, LfsrSource, Profile};
 
 /// Fraction of differing bits between two block streams (compared over
 /// the shorter length, plus the length difference counted as differing).
@@ -28,8 +28,8 @@ pub fn diff_fraction(a: &[u16], b: &[u16]) -> f64 {
 }
 
 fn encrypt(algorithm: Algorithm, key: &Key, message: &[u8], seed: u16) -> Vec<u16> {
-    let mut enc = Encryptor::new(key.clone(), LfsrSource::new(seed).expect("nonzero"))
-        .with_algorithm(algorithm);
+    let source = LfsrSource::new(seed).expect("nonzero");
+    let mut enc = EncryptSession::with_options(key.clone(), source, algorithm, Profile::Streaming);
     enc.encrypt(message).expect("lfsr never exhausts")
 }
 

@@ -14,7 +14,7 @@
 //! embedded bits are XOR-scrambled, so no position is constant: the same
 //! estimator finds nothing — the paper's claim, quantified.
 
-use mhhea::{Algorithm, Encryptor, Key, RngSource};
+use mhhea::{Algorithm, EncryptSession, Key, Profile, RngSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,15 +68,15 @@ pub fn constant_cpa(algorithm: Algorithm, key: &Key, samples: usize, seed: u64) 
     let len = key.len();
     let mut zero_counts = vec![[0usize; 8]; len];
     let mut block_counts = vec![0usize; len];
-    let mut enc = Encryptor::new(key.clone(), RngSource::new(StdRng::seed_from_u64(seed)))
-        .with_algorithm(algorithm);
+    let source = RngSource::new(StdRng::seed_from_u64(seed));
+    let mut enc = EncryptSession::with_options(key.clone(), source, algorithm, Profile::Streaming);
 
-    // One message long enough to produce at least `len` blocks; the
-    // single-shot encryptor restarts its key schedule at block zero for
-    // every message, so a block's residue is simply its offset mod the
-    // key length.
+    // One message long enough to produce at least `len` blocks; rewinding
+    // the session before every message restarts its key schedule at block
+    // zero, so a block's residue is simply its offset mod the key length.
     let zeros = vec![0u8; len * 2];
     for _ in 0..samples {
+        enc.rewind();
         let blocks = enc.encrypt(&zeros).expect("rng source never exhausts");
         // The final block of each message is EOF-truncated (a partial span
         // keeps random vector bits), which would dilute the tail positions
@@ -186,8 +186,9 @@ mod tests {
         let report = constant_cpa(Algorithm::Hhea, &key(), 300, 7);
         let spans = report.recovered_key.expect("attack succeeds");
         // Victim encrypts a real message with the same key.
-        let mut victim = Encryptor::new(key(), mhhea::LfsrSource::new(0xBEEF).unwrap())
-            .with_algorithm(Algorithm::Hhea);
+        let source = mhhea::LfsrSource::new(0xBEEF).unwrap();
+        let mut victim =
+            EncryptSession::with_options(key(), source, Algorithm::Hhea, Profile::Streaming);
         let msg = b"no key needed";
         let blocks = victim.encrypt(msg).unwrap();
         let recovered = hhea_decrypt_with_spans(&spans, &blocks, msg.len() * 8);

@@ -12,7 +12,7 @@
 //! true (sorted) pair — an honest bound on the paper's security claim.
 
 use mhhea::block::{pattern_bit, scramble_locations};
-use mhhea::{Algorithm, Encryptor, Key, KeyPair, RngSource};
+use mhhea::{Algorithm, EncryptSession, Key, KeyPair, RngSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,13 +76,13 @@ pub fn model_aware_attack(key: &Key, samples: usize, seed: u64) -> KeyRecReport 
     let len = key.len();
     let mut survivors: Vec<Vec<KeyPair>> = vec![candidate_pairs(); len];
     let mut counts = vec![0usize; len];
-    let mut enc = Encryptor::new(key.clone(), RngSource::new(StdRng::seed_from_u64(seed)))
-        .with_algorithm(Algorithm::Mhhea);
+    let mut enc = EncryptSession::new(key.clone(), RngSource::new(StdRng::seed_from_u64(seed)));
     let zeros = vec![0u8; len * 2];
     for _ in 0..samples {
+        enc.rewind();
         let blocks = enc.encrypt(&zeros).expect("rng never exhausts");
-        // The single-shot encryptor restarts its key schedule per message,
-        // so residue = offset mod key length. The final block of a message
+        // The rewound session restarts its key schedule per message, so
+        // residue = offset mod key length. The final block of a message
         // may be truncated at EOF (partial span), which would wrongly
         // eliminate the true pair — skip it.
         let usable = blocks.len().saturating_sub(1);

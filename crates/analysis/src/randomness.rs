@@ -9,7 +9,7 @@
 
 use bitkit::BitReader;
 use lfsr::randomness::{fips_battery, BatteryReport, NotEnoughBits};
-use mhhea::{Algorithm, Encryptor, Key, LfsrSource};
+use mhhea::{Algorithm, EncryptSession, Key, LfsrSource, Profile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,11 +36,8 @@ pub fn battery_on_cipher(
     message: &[u8],
     lfsr_seed: u16,
 ) -> Result<BatteryReport, NotEnoughBits> {
-    let mut enc = Encryptor::new(
-        key.clone(),
-        LfsrSource::new(lfsr_seed).expect("nonzero seed"),
-    )
-    .with_algorithm(algorithm);
+    let source = LfsrSource::new(lfsr_seed).expect("nonzero seed");
+    let mut enc = EncryptSession::with_options(key.clone(), source, algorithm, Profile::Streaming);
     let blocks = enc.encrypt(message).expect("lfsr never exhausts");
     fips_battery(&cipher_bitstream(&blocks))
 }
@@ -88,7 +85,7 @@ mod tests {
     #[test]
     fn cipher_balance_is_near_half_even_for_biased_plaintext() {
         let msg = vec![0u8; 1200]; // all zeros: maximally biased input
-        let mut enc = Encryptor::new(key(), LfsrSource::new(0xACE1).unwrap());
+        let mut enc = EncryptSession::new(key(), LfsrSource::new(0xACE1).unwrap());
         let blocks = enc.encrypt(&msg).unwrap();
         let bits = cipher_bitstream(&blocks);
         let ones = bits.iter().filter(|&&b| b).count() as f64 / bits.len() as f64;

@@ -11,8 +11,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mhhea::block::{self, BlockOutcome};
 use mhhea::container::{open_v2_with, seal_v2, SealV2Options};
 use mhhea::pipeline::DEFAULT_CHUNK_BYTES;
-use mhhea::session::EncryptSession;
-use mhhea::{Algorithm, Decryptor, Encryptor, Key, LfsrSource, VectorSource};
+use mhhea::session::{DecryptSession, EncryptSession};
+use mhhea::{Algorithm, Key, LfsrSource, VectorSource};
 
 /// The seed engine's per-bit streaming encrypt loop.
 fn per_bit_encrypt(key: &Key, source: &mut impl VectorSource, message: &[u8]) -> Vec<u16> {
@@ -64,11 +64,16 @@ fn bench_word_level_vs_per_bit(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("MHHEA", "per-bit"), &message, |b, msg| {
         b.iter(|| per_bit_encrypt(&key, &mut per_bit_src, msg))
     });
-    let mut word_enc = Encryptor::new(key.clone(), LfsrSource::new(0xACE1).unwrap());
+    let mut word_enc = EncryptSession::new(key.clone(), LfsrSource::new(0xACE1).unwrap());
     group.bench_with_input(
         BenchmarkId::new("MHHEA", "word-level"),
         &message,
-        |b, msg| b.iter(|| word_enc.encrypt(msg).unwrap()),
+        |b, msg| {
+            b.iter(|| {
+                word_enc.rewind();
+                word_enc.encrypt(msg).unwrap()
+            })
+        },
     );
     group.finish();
 
@@ -81,9 +86,12 @@ fn bench_word_level_vs_per_bit(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("MHHEA", "per-bit"), |b| {
         b.iter(|| per_bit_decrypt(&key, &blocks, message.len() * 8))
     });
-    let word_dec = Decryptor::new(key.clone());
+    let mut word_dec = DecryptSession::new(key.clone());
     group.bench_function(BenchmarkId::new("MHHEA", "word-level"), |b| {
-        b.iter(|| word_dec.decrypt(&blocks, message.len() * 8).unwrap())
+        b.iter(|| {
+            word_dec.rewind();
+            word_dec.decrypt(&blocks, message.len() * 8).unwrap()
+        })
     });
     group.finish();
 }

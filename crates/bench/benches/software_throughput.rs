@@ -2,7 +2,7 @@
 //! combinations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mhhea::{Algorithm, Decryptor, Encryptor, LfsrSource, Profile};
+use mhhea::{Algorithm, DecryptSession, EncryptSession, LfsrSource, Profile};
 
 fn bench_encrypt(c: &mut Criterion) {
     let key = mhhea_bench::report_key();
@@ -16,9 +16,9 @@ fn bench_encrypt(c: &mut Criterion) {
                 &message,
                 |b, msg| {
                     b.iter(|| {
-                        let mut enc = Encryptor::new(key.clone(), LfsrSource::new(0xACE1).unwrap())
-                            .with_algorithm(alg)
-                            .with_profile(profile);
+                        let source = LfsrSource::new(0xACE1).unwrap();
+                        let mut enc =
+                            EncryptSession::with_options(key.clone(), source, alg, profile);
                         enc.encrypt(msg).unwrap()
                     })
                 },
@@ -31,13 +31,16 @@ fn bench_encrypt(c: &mut Criterion) {
 fn bench_decrypt(c: &mut Criterion) {
     let key = mhhea_bench::report_key();
     let message = vec![0xA5u8; 4096];
-    let mut enc = Encryptor::new(key.clone(), LfsrSource::new(0xACE1).unwrap());
+    let mut enc = EncryptSession::new(key.clone(), LfsrSource::new(0xACE1).unwrap());
     let blocks = enc.encrypt(&message).unwrap();
     let mut group = c.benchmark_group("decrypt_4k");
     group.throughput(Throughput::Bytes(message.len() as u64));
     group.bench_function("MHHEA/streaming", |b| {
-        let dec = Decryptor::new(key.clone());
-        b.iter(|| dec.decrypt(&blocks, message.len() * 8).unwrap())
+        let mut dec = DecryptSession::new(key.clone());
+        b.iter(|| {
+            dec.rewind();
+            dec.decrypt(&blocks, message.len() * 8).unwrap()
+        })
     });
     group.finish();
 }

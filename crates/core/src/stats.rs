@@ -189,7 +189,8 @@ mod tests {
         assert_eq!(estimated_blocks(&key, Algorithm::Hhea, 900), 202);
         // The estimate is within a few percent of an actual run.
         let msg = vec![0x5Au8; 512];
-        let mut enc = crate::Encryptor::new(key.clone(), crate::LfsrSource::new(0xACE1).unwrap());
+        let source = crate::LfsrSource::new(0xACE1).unwrap();
+        let mut enc = crate::EncryptSession::new(key.clone(), source);
         let blocks = enc.encrypt(&msg).unwrap();
         let est = estimated_blocks(&key, Algorithm::Mhhea, msg.len() * 8);
         let ratio = blocks.len() as f64 / est as f64;

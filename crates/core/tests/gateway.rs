@@ -392,6 +392,7 @@ fn rekey_with_installs_derived_material() {
             .unwrap(),
         1
     );
+    assert_eq!(mux.epoch(StreamId(1)).unwrap(), 1);
     // Not newer: refused, both for rekey_with and a ring rekey against
     // the single-entry ring it installed.
     assert!(matches!(
@@ -410,13 +411,11 @@ fn rekey_with_installs_derived_material() {
         Algorithm::Mhhea,
         Profile::Streaming,
     );
-    enc.set_epoch(1);
     let msg = b"fresh-DH epoch one";
     let want = enc.encrypt(msg).unwrap();
     assert_eq!(mux.encrypt(StreamId(1), msg).unwrap(), want);
     let mut dec =
         DecryptSession::with_options(derived.clone(), Algorithm::Mhhea, Profile::Streaming);
-    dec.set_epoch(1);
     dec.decrypt(&want, msg.len() * 8).unwrap();
 
     // The single-key ring rides the snapshot: evict, restore, continue

@@ -264,8 +264,8 @@ proptest! {
         let reference = per_bit_streaming(
             &key, alg, &mut CoverSource::new(cover.clone()), &message,
         );
-        let mut session = EncryptSession::new(key, CoverSource::new(cover))
-            .with_algorithm(alg);
+        let mut session =
+            EncryptSession::with_options(key, CoverSource::new(cover), alg, Profile::Streaming);
         let word_level = session.encrypt(&message).unwrap();
         prop_assert_eq!(word_level, reference);
     }
@@ -280,9 +280,9 @@ proptest! {
         let reference = per_bit_hw(
             &key, alg, &mut CoverSource::new(cover.clone()), &message,
         );
-        let mut session = EncryptSession::new(key, CoverSource::new(cover))
-            .with_algorithm(alg)
-            .with_profile(mhhea::Profile::HardwareFaithful);
+        let mut session = EncryptSession::with_options(
+            key, CoverSource::new(cover), alg, Profile::HardwareFaithful,
+        );
         let word_level = session.encrypt(&message).unwrap();
         prop_assert_eq!(word_level, reference);
     }

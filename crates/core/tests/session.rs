@@ -5,10 +5,253 @@ use mhhea::container::{
     open, open_v2_with, parse_header_v2, seal, seal_v2, SealOptions, SealV2Options,
 };
 use mhhea::session::{DecryptSession, EncryptSession, StreamCursor};
-use mhhea::{Algorithm, Key, LfsrSource, MhheaError, Profile};
+use mhhea::{
+    Algorithm, CoverSource, Key, LfsrSource, MhheaError, Profile, RngSource, VectorSource,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn multi_pair_key() -> Key {
     Key::from_nibbles(&[(0, 3), (2, 5), (7, 1), (4, 4), (6, 0)]).unwrap()
+}
+
+fn six_pair_key() -> Key {
+    Key::from_nibbles(&[(0, 3), (2, 5), (7, 1), (4, 4), (6, 0), (3, 3)]).unwrap()
+}
+
+/// An MHHEA encrypt session on [`six_pair_key`] in `profile`.
+fn encrypt_session<S: VectorSource>(source: S, profile: Profile) -> EncryptSession<S> {
+    EncryptSession::with_options(six_pair_key(), source, Algorithm::Mhhea, profile)
+}
+
+/// The matching decrypt session, at the stream origin.
+fn decrypt_session(profile: Profile) -> DecryptSession {
+    DecryptSession::with_options(six_pair_key(), Algorithm::Mhhea, profile)
+}
+
+fn lfsr(seed: u16) -> LfsrSource {
+    LfsrSource::new(seed).unwrap()
+}
+
+/// Every message length class round-trips from the stream origin in
+/// every variant and profile.
+#[test]
+fn roundtrip_all_modes() {
+    let messages: [&[u8]; 5] = [b"", b"a", b"attack at dawn", &[0u8; 64], &[0xFF; 33]];
+    for algorithm in [Algorithm::Hhea, Algorithm::Mhhea] {
+        for profile in [Profile::Streaming, Profile::HardwareFaithful] {
+            for msg in messages {
+                let mut enc =
+                    EncryptSession::with_options(six_pair_key(), lfsr(0xACE1), algorithm, profile);
+                let blocks = enc.encrypt(msg).unwrap();
+                let mut dec = DecryptSession::with_options(six_pair_key(), algorithm, profile);
+                let got = dec.decrypt(&blocks, msg.len() * 8).unwrap();
+                assert_eq!(got, msg, "alg={algorithm} profile={profile}");
+            }
+        }
+    }
+}
+
+/// The single-shot contract: after [`EncryptSession::rewind`] every
+/// message restarts the key schedule at block zero, so each opens on a
+/// fresh [`DecryptSession`] holding only the key — while the hiding
+/// vectors keep advancing, so no two messages share blocks.
+#[test]
+fn rewound_messages_open_on_fresh_decrypt_sessions() {
+    for profile in [Profile::Streaming, Profile::HardwareFaithful] {
+        let mut enc = encrypt_session(lfsr(0xACE1), profile);
+        let mut previous = Vec::new();
+        for msg in [b"first message".as_slice(), b"second".as_slice(), b"third!"] {
+            enc.rewind();
+            let blocks = enc.encrypt(msg).unwrap();
+            let got = decrypt_session(profile).decrypt(&blocks, msg.len() * 8);
+            assert_eq!(got.unwrap(), msg, "profile={profile}");
+            assert_ne!(blocks, previous, "profile={profile}");
+            previous = blocks;
+        }
+    }
+}
+
+#[test]
+fn empty_message_produces_no_blocks() {
+    for profile in [Profile::Streaming, Profile::HardwareFaithful] {
+        let mut enc = encrypt_session(lfsr(1), profile);
+        assert_eq!(enc.encrypt(b"").unwrap(), vec![]);
+        assert_eq!(enc.cursor(), StreamCursor::start());
+    }
+}
+
+#[test]
+fn ciphertext_differs_from_message_and_varies_by_seed() {
+    let msg = b"the same message";
+    let b1 = EncryptSession::new(six_pair_key(), lfsr(0xACE1))
+        .encrypt(msg)
+        .unwrap();
+    let b2 = EncryptSession::new(six_pair_key(), lfsr(0xBEEF))
+        .encrypt(msg)
+        .unwrap();
+    assert_ne!(b1, b2, "different hiding vectors must change blocks");
+    // Same seed reproduces exactly.
+    let b3 = EncryptSession::new(six_pair_key(), lfsr(0xACE1))
+        .encrypt(msg)
+        .unwrap();
+    assert_eq!(b3, b1);
+}
+
+#[test]
+fn expansion_factor_is_roughly_16_over_expected_span() {
+    let msg = vec![0xA5u8; 4096];
+    let source = RngSource::new(StdRng::seed_from_u64(7));
+    let blocks = EncryptSession::new(six_pair_key(), source)
+        .encrypt(&msg)
+        .unwrap();
+    let bits_in = (msg.len() * 8) as f64;
+    let bits_out = (blocks.len() * 16) as f64;
+    let expansion = bits_out / bits_in;
+    let expected = 16.0 / mhhea::stats::expected_span_key(&six_pair_key(), Algorithm::Mhhea);
+    assert!(
+        (expansion - expected).abs() / expected < 0.05,
+        "expansion {expansion:.3} vs expected {expected:.3}"
+    );
+}
+
+#[test]
+fn cover_exhaustion_is_reported() {
+    let mut enc = EncryptSession::new(six_pair_key(), CoverSource::new(vec![0xFFFF; 3]));
+    let err = enc.encrypt(&[0xA5; 100]).unwrap_err();
+    assert_eq!(err, MhheaError::SourceExhausted { blocks_produced: 3 });
+}
+
+/// 10 cover words: the first message takes some, the second runs out;
+/// on an un-rewound session the error reports the stream's total, which
+/// is every block the source supplied.
+#[test]
+fn exhaustion_counts_lifetime_blocks() {
+    let mut enc = EncryptSession::new(six_pair_key(), CoverSource::new(vec![0xFFFF; 10]));
+    let first = enc.encrypt(&[0xA5; 2]).unwrap();
+    let err = enc.encrypt(&[0xA5; 100]).unwrap_err();
+    assert_eq!(
+        err,
+        MhheaError::SourceExhausted {
+            blocks_produced: 10
+        }
+    );
+    assert_eq!(enc.cursor().block_index, 10);
+    assert!(first.len() < 10);
+}
+
+#[test]
+fn truncated_ciphertext_is_reported() {
+    let blocks = EncryptSession::new(six_pair_key(), lfsr(0xACE1))
+        .encrypt(b"0123456789")
+        .unwrap();
+    let err = DecryptSession::new(six_pair_key())
+        .decrypt(&blocks[..2], 80)
+        .unwrap_err();
+    assert!(matches!(err, MhheaError::CiphertextTruncated { .. }));
+}
+
+#[test]
+fn wrong_key_garbles_plaintext() {
+    let msg = b"a longer secret message for the wrong-key check";
+    let blocks = EncryptSession::new(six_pair_key(), lfsr(0xACE1))
+        .encrypt(msg)
+        .unwrap();
+    let wrong = Key::from_nibbles(&[(1, 6), (0, 2), (5, 5)]).unwrap();
+    // Wrong key may yield a length error or garbage; never the message.
+    match DecryptSession::new(wrong).decrypt(&blocks, msg.len() * 8) {
+        Ok(got) => assert_ne!(got, msg),
+        Err(MhheaError::CiphertextTruncated { .. }) => {}
+        Err(e) => panic!("unexpected error {e}"),
+    }
+}
+
+/// Per 16-bit half, embedded spans sum to >= 16 (blind full-span
+/// embedding), so block count >= message halves.
+#[test]
+fn hw_profile_blocks_cover_whole_halfwords() {
+    let msg = vec![0x3Cu8; 32]; // 256 bits = 16 halves
+    let mut enc = encrypt_session(lfsr(0xACE1), Profile::HardwareFaithful);
+    let blocks = enc.encrypt(&msg).unwrap();
+    assert!(
+        blocks.len() >= 16 * 16 / 8,
+        "too few blocks: {}",
+        blocks.len()
+    );
+    // And the two profiles genuinely differ on the same input.
+    let blocks_s = encrypt_session(lfsr(0xACE1), Profile::Streaming)
+        .encrypt(&msg)
+        .unwrap();
+    assert_ne!(blocks, blocks_s);
+}
+
+/// A corrupted (huge) length must error, not inflate the output, and a
+/// short length must cap it.
+#[test]
+fn hw_decrypt_honors_bit_len() {
+    let msg = b"0123456789abcdef";
+    let mut enc = encrypt_session(lfsr(0xACE1), Profile::HardwareFaithful);
+    let blocks = enc.encrypt(msg).unwrap();
+    let mut dec = decrypt_session(Profile::HardwareFaithful);
+    // Corrupted-long: errors with the true recovered count and leaves the
+    // cursor at the origin.
+    match dec.decrypt(&blocks, usize::MAX).unwrap_err() {
+        MhheaError::CiphertextTruncated { got_bits, .. } => {
+            assert_eq!(got_bits, msg.len() * 8)
+        }
+        e => panic!("unexpected error {e}"),
+    }
+    // Corrupted-short: output capped at ceil(bit_len / 8) bytes.
+    let short = dec.decrypt(&blocks, 20).unwrap();
+    assert_eq!(short.len(), 3);
+    assert_eq!(&short[..2], &msg[..2]);
+}
+
+/// 13 bits of a 2-byte buffer.
+#[test]
+fn bit_level_message_roundtrip() {
+    let mut enc = EncryptSession::new(six_pair_key(), lfsr(0x1357));
+    let blocks = enc.encrypt_bits(&[0b1010_1010, 0b0001_1111], 13).unwrap();
+    let got = DecryptSession::new(six_pair_key())
+        .decrypt(&blocks, 13)
+        .unwrap();
+    assert_eq!(got.len(), 2);
+    assert_eq!(got[0], 0b1010_1010);
+    assert_eq!(got[1] & 0x1F, 0b0001_1111 & 0x1F);
+}
+
+/// Non-byte-aligned lengths through the 16-bit alignment buffer: 13 bits
+/// (mid-half) and 40 bits (mid-word).
+#[test]
+fn hw_bit_level_roundtrip_unaligned() {
+    for (bytes, bit_len) in [
+        (vec![0b1010_1010u8, 0b0001_1111], 13usize),
+        (vec![0xDE, 0xAD, 0xBE, 0xEF, 0x35], 40),
+    ] {
+        let mut enc = encrypt_session(lfsr(0x1357), Profile::HardwareFaithful);
+        let blocks = enc.encrypt_bits(&bytes, bit_len).unwrap();
+        let got = decrypt_session(Profile::HardwareFaithful)
+            .decrypt(&blocks, bit_len)
+            .unwrap();
+        assert_eq!(got.len(), bit_len.div_ceil(8));
+        for i in 0..bit_len {
+            assert_eq!(
+                (got[i / 8] >> (i % 8)) & 1,
+                (bytes[i / 8] >> (i % 8)) & 1,
+                "bit {i} of {bit_len}"
+            );
+        }
+    }
+}
+
+#[test]
+fn single_pair_key_works() {
+    let k = Key::from_nibbles(&[(3, 6)]).unwrap();
+    let blocks = EncryptSession::new(k.clone(), lfsr(42))
+        .encrypt(b"x")
+        .unwrap();
+    let got = DecryptSession::new(k).decrypt(&blocks, 8).unwrap();
+    assert_eq!(got, b"x");
 }
 
 /// A decrypt that fails on truncated blocks leaves the cursor where it
@@ -60,12 +303,10 @@ fn sessions_roundtrip_multi_message_traffic() {
     let messages: [&[u8]; 3] = [b"first message", b"the second, longer message", b"#3"];
     for algorithm in [Algorithm::Hhea, Algorithm::Mhhea] {
         for profile in [Profile::Streaming, Profile::HardwareFaithful] {
-            let mut enc = EncryptSession::new(multi_pair_key(), LfsrSource::new(0xACE1).unwrap())
-                .with_algorithm(algorithm)
-                .with_profile(profile);
-            let mut dec = DecryptSession::new(multi_pair_key())
-                .with_algorithm(algorithm)
-                .with_profile(profile);
+            let source = LfsrSource::new(0xACE1).unwrap();
+            let mut enc =
+                EncryptSession::with_options(multi_pair_key(), source, algorithm, profile);
+            let mut dec = DecryptSession::with_options(multi_pair_key(), algorithm, profile);
             for msg in messages {
                 let blocks = enc.encrypt(msg).unwrap();
                 let got = dec.decrypt(&blocks, msg.len() * 8).unwrap();
@@ -193,8 +434,8 @@ fn rekey_hands_off_bit_exactly_in_all_modes() {
                 algorithm,
                 profile,
             );
-            fresh.set_epoch(3);
             enc.rekey(&ring, 3).unwrap();
+            assert_eq!(enc.epoch(), 3);
             assert_eq!(
                 enc.encrypt(b"equivalence probe").unwrap(),
                 fresh.encrypt(b"equivalence probe").unwrap(),

@@ -292,7 +292,7 @@ mod tests {
     use super::*;
     use crate::core::build_mhhea_core;
     use crate::serial::build_serial_hhea_core;
-    use mhhea::{Algorithm, Decryptor, Encryptor, LfsrSource, Profile};
+    use mhhea::{Algorithm, DecryptSession, EncryptSession, LfsrSource, Profile};
 
     fn key() -> Key {
         Key::from_nibbles(&[
@@ -309,9 +309,9 @@ mod tests {
     }
 
     fn sw_blocks(algorithm: Algorithm, k: &Key, words: &[u32]) -> Vec<u16> {
-        let mut enc = Encryptor::new(k.clone(), LfsrSource::new(crate::HW_LFSR_SEED).unwrap())
-            .with_algorithm(algorithm)
-            .with_profile(Profile::HardwareFaithful);
+        let source = LfsrSource::new(crate::HW_LFSR_SEED).unwrap();
+        let mut enc =
+            EncryptSession::with_options(k.clone(), source, algorithm, Profile::HardwareFaithful);
         enc.encrypt(&words_to_bytes(words)).unwrap()
     }
 
@@ -335,7 +335,8 @@ mod tests {
         let mut sim = MhheaCoreSim::new(&core).unwrap();
         let words = vec![0xDEAD_BEEFu32, 0x0123_4567];
         let run = sim.encrypt_words(&key(), &words).unwrap();
-        let dec = Decryptor::new(key()).with_profile(Profile::HardwareFaithful);
+        let mut dec =
+            DecryptSession::with_options(key(), Algorithm::Mhhea, Profile::HardwareFaithful);
         let bytes = dec.decrypt(&run.blocks, words.len() * 32).unwrap();
         assert_eq!(bytes, words_to_bytes(&words));
     }
@@ -510,7 +511,7 @@ mod decrypt_tests {
     use super::*;
     use crate::core::build_mhhea_core;
     use crate::decrypt::build_mhhea_decrypt_core;
-    use mhhea::{Encryptor, LfsrSource, Profile};
+    use mhhea::{Algorithm, EncryptSession, LfsrSource, Profile};
 
     fn key() -> Key {
         Key::from_nibbles(&[(0, 3), (2, 5), (7, 1), (4, 4), (6, 0), (3, 3)]).unwrap()
@@ -526,8 +527,13 @@ mod decrypt_tests {
     #[test]
     fn decrypt_core_inverts_software_encryptor() {
         let words = vec![0xABCD_1234u32, 0xDEAD_BEEF];
-        let mut enc = Encryptor::new(key(), LfsrSource::new(crate::HW_LFSR_SEED).unwrap())
-            .with_profile(Profile::HardwareFaithful);
+        let source = LfsrSource::new(crate::HW_LFSR_SEED).unwrap();
+        let mut enc = EncryptSession::with_options(
+            key(),
+            source,
+            Algorithm::Mhhea,
+            Profile::HardwareFaithful,
+        );
         let blocks = enc.encrypt(&words_to_bytes(&words)).unwrap();
         let core = build_mhhea_decrypt_core();
         let run = DecryptCoreSim::new(&core)

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example hardware_sim`
 
-use mhhea::{Decryptor, Encryptor, LfsrSource, Profile};
+use mhhea::{Algorithm, DecryptSession, EncryptSession, LfsrSource, Profile};
 use mhhea_hw::harness::{words_to_bytes, MhheaCoreSim};
 use mhhea_hw::HW_LFSR_SEED;
 
@@ -33,15 +33,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Cross-check against the bit-exact software model.
-    let mut sw = Encryptor::new(key.clone(), LfsrSource::new(HW_LFSR_SEED)?)
-        .with_profile(Profile::HardwareFaithful);
+    let source = LfsrSource::new(HW_LFSR_SEED)?;
+    let mut sw = EncryptSession::with_options(
+        key.clone(),
+        source,
+        Algorithm::Mhhea,
+        Profile::HardwareFaithful,
+    );
     let expected = sw.encrypt(&words_to_bytes(&words))?;
     assert_eq!(run.blocks, expected, "hardware must match software");
     println!("hardware output matches the software reference bit-for-bit");
 
     // And the software decryptor recovers the plaintext from hardware
     // ciphertext.
-    let dec = Decryptor::new(key).with_profile(Profile::HardwareFaithful);
+    let mut dec = DecryptSession::with_options(key, Algorithm::Mhhea, Profile::HardwareFaithful);
     let recovered = dec.decrypt(&run.blocks, words.len() * 32)?;
     assert_eq!(recovered, words_to_bytes(&words));
     println!("software decryptor recovers the plaintext from hardware blocks");

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example steganography`
 
-use mhhea::{CoverSource, Decryptor, Encryptor, Key};
+use mhhea::{CoverSource, DecryptSession, EncryptSession, Key};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let key = Key::from_nibbles(&[(0, 2), (3, 5), (1, 4), (6, 7)])?;
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     // Stego-encrypt: the cover words *are* the hiding vectors.
-    let mut embedder = Encryptor::new(key.clone(), CoverSource::new(cover.clone()));
+    let mut embedder = EncryptSession::new(key.clone(), CoverSource::new(cover.clone()));
     let stego: Vec<u16> = embedder.encrypt(secret)?;
     println!(
         "embedded {} bytes into {} of {} cover samples",
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Extraction needs only the key and the stego samples.
-    let extractor = Decryptor::new(key);
+    let mut extractor = DecryptSession::new(key);
     let recovered = extractor.decrypt(&stego, secret.len() * 8)?;
     assert_eq!(recovered, secret);
     println!("extracted: {:?}", String::from_utf8_lossy(&recovered));

@@ -3,15 +3,15 @@
 //! for identical inputs — across random keys and messages.
 
 use mhhea::session::{DecryptSession, EncryptSession};
-use mhhea::{Algorithm, Encryptor, Key, LfsrSource, Profile};
+use mhhea::{Algorithm, Key, LfsrSource, Profile};
 use mhhea_hw::harness::{words_to_bytes, DecryptCoreSim, MhheaCoreSim, SerialHheaSim};
 use mhhea_hw::HW_LFSR_SEED;
 use proptest::prelude::*;
 
 fn sw_blocks(algorithm: Algorithm, key: &Key, words: &[u32]) -> Vec<u16> {
-    let mut enc = Encryptor::new(key.clone(), LfsrSource::new(HW_LFSR_SEED).unwrap())
-        .with_algorithm(algorithm)
-        .with_profile(Profile::HardwareFaithful);
+    let source = LfsrSource::new(HW_LFSR_SEED).unwrap();
+    let mut enc =
+        EncryptSession::with_options(key.clone(), source, algorithm, Profile::HardwareFaithful);
     enc.encrypt(&words_to_bytes(words)).unwrap()
 }
 
@@ -67,11 +67,12 @@ proptest! {
         let key = Key::from_nibbles(&pairs).unwrap();
 
         // Session side: one stream, one encrypt call per message.
-        let mut enc = EncryptSession::new(
+        let mut enc = EncryptSession::with_options(
             key.clone(),
             LfsrSource::new(HW_LFSR_SEED).unwrap(),
-        )
-        .with_profile(Profile::HardwareFaithful);
+            Algorithm::Mhhea,
+            Profile::HardwareFaithful,
+        );
         let per_msg: Vec<Vec<u16>> = msgs
             .iter()
             .map(|words| enc.encrypt(&words_to_bytes(words)).unwrap())
@@ -88,8 +89,11 @@ proptest! {
         prop_assert_eq!(&run.blocks, &stream_blocks);
 
         // The decrypt session tracks the same cursor message by message.
-        let mut dec = DecryptSession::new(key.clone())
-            .with_profile(Profile::HardwareFaithful);
+        let mut dec = DecryptSession::with_options(
+            key.clone(),
+            Algorithm::Mhhea,
+            Profile::HardwareFaithful,
+        );
         for (words, blocks) in msgs.iter().zip(&per_msg) {
             prop_assert_eq!(
                 dec.decrypt(blocks, words.len() * 32).unwrap(),
@@ -123,9 +127,13 @@ fn serial_core_matches_multi_message_session() {
         vec![0x0000_FFFF, 0x8001_7FFE],
         vec![0x5A5A_A5A5],
     ];
-    let mut enc = EncryptSession::new(key.clone(), LfsrSource::new(HW_LFSR_SEED).unwrap())
-        .with_algorithm(Algorithm::Hhea)
-        .with_profile(Profile::HardwareFaithful);
+    let source = LfsrSource::new(HW_LFSR_SEED).unwrap();
+    let mut enc = EncryptSession::with_options(
+        key.clone(),
+        source,
+        Algorithm::Hhea,
+        Profile::HardwareFaithful,
+    );
     let stream_blocks: Vec<u16> = msgs
         .iter()
         .flat_map(|words| enc.encrypt(&words_to_bytes(words)).unwrap())
@@ -148,7 +156,7 @@ fn hardware_ciphertext_decrypts_in_software() {
         .unwrap()
         .encrypt_words(&key, &words)
         .unwrap();
-    let dec = mhhea::Decryptor::new(key).with_profile(Profile::HardwareFaithful);
+    let mut dec = DecryptSession::with_options(key, Algorithm::Mhhea, Profile::HardwareFaithful);
     assert_eq!(
         dec.decrypt(&run.blocks, words.len() * 32).unwrap(),
         words_to_bytes(&words)

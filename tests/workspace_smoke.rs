@@ -6,7 +6,7 @@
 //! crate drops out of the facade, this file stops compiling.
 
 use mhhea_suite::mhhea::container::{open, seal, SealOptions};
-use mhhea_suite::mhhea::{Algorithm, Encryptor, Key, LfsrSource, Profile};
+use mhhea_suite::mhhea::{Algorithm, EncryptSession, Key, LfsrSource, Profile};
 use mhhea_suite::mhhea_hw::harness::{words_to_bytes, MhheaCoreSim};
 use mhhea_suite::mhhea_hw::HW_LFSR_SEED;
 
@@ -29,9 +29,9 @@ fn facade_hw_sw_equivalence_round() {
         .encrypt_words(&key, &words)
         .unwrap();
 
-    let mut enc = Encryptor::new(key, LfsrSource::new(HW_LFSR_SEED).unwrap())
-        .with_algorithm(Algorithm::Mhhea)
-        .with_profile(Profile::HardwareFaithful);
+    let source = LfsrSource::new(HW_LFSR_SEED).unwrap();
+    let mut enc =
+        EncryptSession::with_options(key, source, Algorithm::Mhhea, Profile::HardwareFaithful);
     let sw = enc.encrypt(&words_to_bytes(&words)).unwrap();
 
     assert_eq!(hw.blocks, sw);
